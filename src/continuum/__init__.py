@@ -16,10 +16,8 @@ Four layers, each fully computable:
 """
 
 from .bijection import (
-    DEFAULT_CONFIG,
     DerivationStep,
     DerivationTrace,
-    MapConfig,
     derivation_trace,
     forward,
     inverse,
@@ -80,7 +78,6 @@ __all__ = [
     "BudgetExceeded",
     "Covering",
     "CoveringSet",
-    "DEFAULT_CONFIG",
     "DerivationStep",
     "DerivationTrace",
     "DisjointnessViolation",
@@ -92,7 +89,6 @@ __all__ = [
     "FiniteSet",
     "LAW_IDS",
     "LawWitness",
-    "MapConfig",
     "OtherRational",
     "OutOfRange",
     "ParseError",

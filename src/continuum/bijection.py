@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from .binary_streams import (
     EPBS,
     StreamClass,
+    _bits_to_int,
     canonicalize,
     classify_stream,
     enumerate_canonical,
@@ -39,25 +40,6 @@ from .binary_streams import (
 from .dyadic import Dyadic, index_of
 from .errors import DomainViolation
 from .finite_sets import cardinal_pow
-
-T_CHOICE_DYADIC_TRAILING_ZEROS = "dyadic-trailing-zeros"
-
-
-@dataclass(frozen=True)
-class MapConfig:
-    """Recorded choice of the countable chain T (one choice implemented)."""
-
-    t_choice: str = T_CHOICE_DYADIC_TRAILING_ZEROS
-    index_base: int = 0
-
-    def __post_init__(self):
-        if self.t_choice != T_CHOICE_DYADIC_TRAILING_ZEROS:
-            raise ValueError(f"unsupported t_choice {self.t_choice!r}")
-        if self.index_base != 0:
-            raise ValueError("indices are 0-based")
-
-
-DEFAULT_CONFIG = MapConfig()
 
 
 def t_enumerate(k: int) -> EPBS:
@@ -74,32 +56,32 @@ def s_enumerate(k: int) -> EPBS:
     return EPBS(tuple(int(b) for b in bits), (1,))
 
 
+def _dyadic_index(stream: EPBS, tail: int) -> int | None:
+    # ``w(tail)`` with w nonempty expands the dyadic point (int(w) + tail) / 2^|w|.
+    canonical = canonicalize(stream)
+    if canonical.period != (tail,) or not canonical.preamble:
+        return None
+    numerator = _bits_to_int(canonical.preamble) + tail
+    return index_of(Dyadic(numerator, len(canonical.preamble)))
+
+
 def t_index(stream: EPBS) -> int | None:
     """Index of a canonical stream in T, or None when it is outside T."""
-    canonical = canonicalize(stream)
-    if canonical.period != (0,) or not canonical.preamble:
-        return None
-    numerator = int("".join(str(b) for b in canonical.preamble), 2)
-    return index_of(Dyadic(numerator, len(canonical.preamble)))
+    return _dyadic_index(stream, 0)
 
 
 def s_index(stream: EPBS) -> int | None:
     """Index k with ``stream == s_k``, or None if the stream is canonical."""
-    canonical = canonicalize(stream)
-    if canonical.period != (1,) or not canonical.preamble:
-        return None
-    numerator = int("".join(str(b) for b in canonical.preamble), 2) + 1
-    return index_of(Dyadic(numerator, len(canonical.preamble)))
+    return _dyadic_index(stream, 1)
 
 
-def forward(stream: EPBS, config: MapConfig = DEFAULT_CONFIG) -> EPBS:
+def forward(stream: EPBS) -> EPBS:
     """The shift map from canonical streams onto the whole universe.
 
     ``t_{2k} -> s_k``, ``t_{2k+1} -> t_k``, identity elsewhere. Raises
     :class:`DomainViolation` on a redundant (InBS) input. Output is
     canonical.
     """
-    del config  # one supported choice; validated at construction
     canonical = canonicalize(stream)
     if classify_stream(canonical) is StreamClass.IN_BS:
         raise DomainViolation(f"{canonical} is a redundant stream, outside the domain")
@@ -110,13 +92,12 @@ def forward(stream: EPBS, config: MapConfig = DEFAULT_CONFIG) -> EPBS:
     return t_enumerate(k) if odd else s_enumerate(k)
 
 
-def inverse(stream: EPBS, config: MapConfig = DEFAULT_CONFIG) -> EPBS:
+def inverse(stream: EPBS) -> EPBS:
     """Exact inverse of :func:`forward`, total on every stream.
 
     ``s_k -> t_{2k}``, ``t_k -> t_{2k+1}``, identity elsewhere; the
     output is always canonical and never redundant.
     """
-    del config
     canonical = canonicalize(stream)
     redundant = s_index(canonical)
     if redundant is not None:
@@ -171,7 +152,12 @@ class DerivationTrace:
 
 
 class _Universe:
-    """All canonical streams of bounded size, split by class and T-membership."""
+    """All canonical streams of bounded size, split by class and T-membership.
+
+    ``forward_images`` maps each canonical stream to its forward image and
+    ``inverse_images`` maps every stream to its inverse image; both are
+    computed once, with the module's current ``forward`` and ``inverse``.
+    """
 
     def __init__(self, mu_max: int):
         self.streams = enumerate_canonical(mu_max)
@@ -180,6 +166,8 @@ class _Universe:
         self.t_positions = {e: k for e in self.streams if (k := t_index(e)) is not None}
         self.chain = [e for e in self.in_bx if e in self.t_positions]
         self.outside_chain = [e for e in self.in_bx if e not in self.t_positions]
+        self.forward_images = {e: forward(e) for e in self.in_bx}
+        self.inverse_images = {e: inverse(e) for e in self.streams}
 
 
 def _check_partition(u: _Universe) -> bool:
@@ -236,32 +224,31 @@ def _check_odds_reenumerate_chain(u: _Universe) -> bool:
 
 
 def _check_identity_outside_chain(u: _Universe) -> bool:
-    return all(forward(e) == e and inverse(e) == e for e in u.outside_chain)
+    return all(u.forward_images[e] == e == u.inverse_images[e] for e in u.outside_chain)
 
 
 def _check_combined_map(u: _Universe) -> bool:
-    images = [forward(e) for e in u.in_bx]
+    # Inverse images may be larger than the bound, so forward is applied live.
+    images = u.forward_images.values()
     if len(set(images)) != len(images):
         return False
-    return all(forward(inverse(e)) == e for e in u.streams)
+    return all(forward(image) == e for e, image in u.inverse_images.items())
 
 
 def _check_round_trips(u: _Universe) -> bool:
-    for e in u.in_bx:
-        if inverse(forward(e)) != e:
-            return False
-    for e in u.streams:
-        if forward(inverse(e)) != e:
-            return False
-        if classify_stream(inverse(e)) is not StreamClass.IN_BX:
-            return False
-    return True
+    # A broken forward may leave the bound, so inverse is applied live too.
+    if any(inverse(image) != e for e, image in u.forward_images.items()):
+        return False
+    return all(
+        forward(image) == e and classify_stream(image) is StreamClass.IN_BX
+        for e, image in u.inverse_images.items()
+    )
 
 
 def _check_size_agreement(u: _Universe) -> bool:
     # Injections both ways at the bounded level.
-    into_universe = {forward(e) for e in u.in_bx}
-    into_canonical = {inverse(e) for e in u.streams}
+    into_universe = set(u.forward_images.values())
+    into_canonical = set(u.inverse_images.values())
     return len(into_universe) == len(u.in_bx) and len(into_canonical) == len(u.streams)
 
 
@@ -271,30 +258,35 @@ def _check_exponentiation_definition(u: _Universe) -> bool:
     return cardinal_pow(2, 3) == 8 and cardinal_pow(2, 0) == 1
 
 
+# (step, statement, justification, checker, checked up to the bound μ)
 _STEPS = (
-    (20, "card(B) = 2^ℵ₀", JUSTIFICATION_DEFINITION, _check_exponentiation_definition),
-    (21, "B = B_X ∪ B_S", JUSTIFICATION_WITNESSED, _check_partition),
-    (22, "B_X ~ X ~ ℝ", JUSTIFICATION_SYMBOLIC, None),
-    (23, "B_X = T ∪ B'_X", JUSTIFICATION_DEFINITION, _check_chain_definition),
-    (24, "B_X = T_E ∪ T_O ∪ B'_X", JUSTIFICATION_DEFINITION, _check_parity_split),
-    (25, "B_S ∪ B_X = B_S ∪ T ∪ B'_X", JUSTIFICATION_DEFINITION, _check_union_rewrite),
-    (26, "T_E ~ B_S", JUSTIFICATION_WITNESSED, _check_evens_absorb_redundant),
-    (27, "T_O ~ T", JUSTIFICATION_WITNESSED, _check_odds_reenumerate_chain),
-    (28, "B'_X ~ B'_X", JUSTIFICATION_WITNESSED, _check_identity_outside_chain),
-    (
-        29,
-        "T_E ∪ T_O ∪ B'_X ~ B_S ∪ T ∪ B'_X",
-        JUSTIFICATION_WITNESSED,
-        _check_combined_map,
-    ),
-    (30, "B_X ~ B_S ∪ B_X", JUSTIFICATION_WITNESSED, _check_round_trips),
-    (31, "B_X ~ B", JUSTIFICATION_SYMBOLIC, None),
-    (32, "card(B_X) = card(B) = 2^ℵ₀", JUSTIFICATION_WITNESSED, _check_size_agreement),
-    (33, "card(X) = card(ℝ) = 2^ℵ₀", JUSTIFICATION_SYMBOLIC, None),
+    (20, "card(B) = 2^ℵ₀", JUSTIFICATION_DEFINITION, _check_exponentiation_definition, False),
+    (21, "B = B_X ∪ B_S", JUSTIFICATION_WITNESSED, _check_partition, True),
+    (22, "B_X ~ X ~ ℝ", JUSTIFICATION_SYMBOLIC, None, False),
+    (23, "B_X = T ∪ B'_X", JUSTIFICATION_DEFINITION, _check_chain_definition, True),
+    (24, "B_X = T_E ∪ T_O ∪ B'_X", JUSTIFICATION_DEFINITION, _check_parity_split, True),
+    (25, "B_S ∪ B_X = B_S ∪ T ∪ B'_X", JUSTIFICATION_DEFINITION, _check_union_rewrite, True),
+    (26, "T_E ~ B_S", JUSTIFICATION_WITNESSED, _check_evens_absorb_redundant, True),
+    (27, "T_O ~ T", JUSTIFICATION_WITNESSED, _check_odds_reenumerate_chain, True),
+    (28, "B'_X ~ B'_X", JUSTIFICATION_WITNESSED, _check_identity_outside_chain, True),
+    (29, "T_E ∪ T_O ∪ B'_X ~ B_S ∪ T ∪ B'_X", JUSTIFICATION_WITNESSED, _check_combined_map, True),
+    (30, "B_X ~ B_S ∪ B_X", JUSTIFICATION_WITNESSED, _check_round_trips, True),
+    (31, "B_X ~ B", JUSTIFICATION_SYMBOLIC, None, False),
+    (32, "card(B_X) = card(B) = 2^ℵ₀", JUSTIFICATION_WITNESSED, _check_size_agreement, True),
+    (33, "card(X) = card(ℝ) = 2^ℵ₀", JUSTIFICATION_SYMBOLIC, None, False),
 )
 
 
-def derivation_trace(mu_max: int, config: MapConfig = DEFAULT_CONFIG) -> DerivationTrace:
+def _result(checker, universe: _Universe) -> str:
+    if checker is None:
+        return RESULT_NOT_CHECKABLE
+    try:
+        return RESULT_PASS if checker(universe) else RESULT_FAIL
+    except DomainViolation:  # a broken map handed forward a redundant stream
+        return RESULT_FAIL
+
+
+def derivation_trace(mu_max: int) -> DerivationTrace:
     """Replay the derivation as one step per numbered statement.
 
     Stream-level statements are checked exhaustively over all canonical
@@ -305,18 +297,11 @@ def derivation_trace(mu_max: int, config: MapConfig = DEFAULT_CONFIG) -> Derivat
     construction but is not a finite check; its bounded content is
     already witnessed by step 30.
     """
-    del config
     if mu_max < 1:
         raise ValueError("mu_max must be >= 1")
     universe = _Universe(mu_max)
     steps = []
-    for number, statement, justification, checker in _STEPS:
-        if checker is None:
-            steps.append(
-                DerivationStep(number, statement, justification, None, RESULT_NOT_CHECKABLE)
-            )
-            continue
-        bound = None if number == 20 else mu_max
-        result = RESULT_PASS if checker(universe) else RESULT_FAIL
-        steps.append(DerivationStep(number, statement, justification, bound, result))
+    for number, statement, justification, checker, bounded in _STEPS:
+        bound = mu_max if bounded else None
+        steps.append(DerivationStep(number, statement, justification, bound, _result(checker, universe)))
     return DerivationTrace(tuple(steps))

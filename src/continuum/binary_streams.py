@@ -99,11 +99,9 @@ def format_stream(stream: EPBS) -> str:
 
 
 def _primitive(period: Bits) -> Bits:
-    for length in range(1, len(period)):
-        if len(period) % length == 0:
-            if period == period[:length] * (len(period) // length):
-                return period[:length]
-    return period
+    # The first place a word recurs in itself doubled is its smallest period.
+    word = bytes(period)
+    return period[: (word + word).find(word, 1)]
 
 
 def canonicalize(stream: EPBS) -> EPBS:
@@ -112,13 +110,16 @@ def canonicalize(stream: EPBS) -> EPBS:
     The period is reduced to its primitive block, then preamble bits
     equal to the period's last bit are absorbed by rotating the period.
     Two streams are bit-for-bit equal iff their canonical forms are
-    structurally equal.
+    structurally equal. A stream that is already canonical is returned
+    itself, not a copy.
     """
     preamble = stream.preamble
     period = _primitive(stream.period)
     while preamble and preamble[-1] == period[-1]:
         preamble = preamble[:-1]
         period = period[-1:] + period[:-1]
+    if preamble == stream.preamble and period == stream.period:
+        return stream
     return EPBS(preamble, period)
 
 

@@ -12,6 +12,7 @@ Stream literals contain parentheses, so quote them in a shell:
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 
@@ -57,6 +58,8 @@ def _split_labels(text: str) -> list[str]:
     labels = text.split(",")
     if any(label == "" for label in labels):
         raise _UsageError("empty label in list")
+    if len(set(labels)) != len(labels):
+        raise _UsageError("duplicate label in list")
     return labels
 
 
@@ -125,18 +128,21 @@ def _cmd_trace(args) -> str:
     return "\n".join(lines)
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, minimum: int) -> int:
+    if re.fullmatch("[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError("must be an integer in ASCII digits")
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:

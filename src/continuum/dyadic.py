@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import OutOfRange, ParseError
 
-_RATIONAL_RE = re.compile(r"(\d+)(?:/(\d+))?")
+_RATIONAL_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ PointClass = DualDyadic | Endpoint | OtherRational
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` (nonnegative integers, q > 0)."""
+    """Parse ``p`` or ``p/q`` (nonnegative ASCII integers, q > 0)."""
     match = _RATIONAL_RE.fullmatch(text)
     if match is None:
         prefix = _RATIONAL_RE.match(text)

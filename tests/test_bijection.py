@@ -1,12 +1,13 @@
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
+from continuum import bijection
 from continuum.bijection import (
     DerivationStep,
     DerivationTrace,
-    MapConfig,
     derivation_trace,
     forward,
     inverse,
@@ -26,6 +27,7 @@ from continuum.binary_streams import (
     parse_stream,
     value,
 )
+from continuum.cli import run
 from continuum.dyadic import Dyadic, enumerate_duals
 from continuum.errors import DomainViolation
 
@@ -143,14 +145,6 @@ def test_round_trips_random(stream):
         assert inverse(forward(canonical)) == canonical
 
 
-def test_map_config_validation():
-    with pytest.raises(ValueError):
-        MapConfig(t_choice="some-other-chain")
-    with pytest.raises(ValueError):
-        MapConfig(index_base=1)
-    assert MapConfig().t_choice == "dyadic-trailing-zeros"
-
-
 # ---------------------------------------------------------------------------
 # derivation trace
 # ---------------------------------------------------------------------------
@@ -216,3 +210,56 @@ def test_derivation_checks_cover_the_universe():
     ]
     assert len(chain) + len(redundant) + len(rest) == len(universe)
     assert all(forward(e) == e for e in rest)
+
+
+# sha256 of ``trace --mu-max N --format json``, pinned so that any change to
+# the trace's bytes shows up here.
+TRACE_JSON_SHA256 = {
+    1: "f3c71c57f3d39840780875a06c61d8a86d1ed9246c2d6cee15d371574e6792c2",
+    2: "323c98b5b0dd182ee9c6699d12ff2870dbb8f09d4c23ae41c3905121907a9147",
+    3: "ca5b9b8311b14e225bc93360fde76e64156be1e20b443ea1a8d1ba68aeb54482",
+    4: "459eae97c48049d842b979645da33af80fba6b1a36af5a6f7510684ef14d590c",
+    5: "f5e223067f790d4330e18acc205390158eae8902d6cdd61e457f0e4324bbabb7",
+    6: "1378c8474d3c99b00facb1bfe93665bf2bc5e37e3aec8314173c0892eabc901a",
+    7: "d6b33fbf95d2dd8be929939c51697d374c2e758398841988c34bdab7ea7edc58",
+    8: "e9ba4d86a9e7bb16891352ea667ba9735b07e1561b1672b00d7b5a9d75ac80e6",
+    9: "fac6928b29145c08cea6ac6c367b970c2643b78b5aeb86efbd0144c6280e8105",
+}
+
+
+@pytest.mark.parametrize("mu_max", sorted(TRACE_JSON_SHA256))
+def test_trace_json_golden_bytes(mu_max):
+    output = run(["trace", "--mu-max", str(mu_max), "--format", "json"]).output
+    assert hashlib.sha256(output.encode()).hexdigest() == TRACE_JSON_SHA256[mu_max]
+
+
+def _results(trace):
+    return {step.step: step.result for step in trace.steps}
+
+
+def test_trace_catches_swapped_forward_branches(monkeypatch):
+    # t_{2k} -> t_k and t_{2k+1} -> s_k: still injective, but the wrong branches.
+    def swapped(stream):
+        canonical = canonicalize(stream)
+        position = t_index(canonical)
+        if position is None:
+            return canonical
+        k, odd = divmod(position, 2)
+        return s_enumerate(k) if odd else t_enumerate(k)
+
+    monkeypatch.setattr(bijection, "forward", swapped)
+    trace = derivation_trace(6)
+    assert trace.verdict == "fail"
+    results = _results(trace)
+    assert "fail" in (results[26], results[27])
+
+
+def test_trace_catches_identity_inverse(monkeypatch):
+    monkeypatch.setattr(bijection, "inverse", lambda stream: canonicalize(stream))
+    trace = derivation_trace(6)
+    assert trace.verdict == "fail"
+    results = _results(trace)
+    assert results[30] == "fail"
+    # Step 29 applies the real forward to the stored inverse images only, so
+    # it fails only if those were computed with the patched inverse.
+    assert results[29] == "fail"

@@ -167,6 +167,9 @@ def test_trace_text():
         ["trace", "--mu-max", "0"],
         ["coverings", "--exp", "a,,b", "--base", "0"],
         [],
+        ["coverings", "--exp", "a,a", "--base", "0,1"],  # duplicate label
+        ["trace", "--mu-max", "٣"],  # Arabic-Indic digit
+        ["laws", "--check", "all", "--a", "٢", "--b", "1", "--c", "1"],
     ],
 )
 def test_usage_errors_exit_1(argv):

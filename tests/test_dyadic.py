@@ -37,7 +37,7 @@ def test_parse_rational(text, expected):
     assert parse_rational(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "3/", "/8", "a", "-1/2", "1.5", "1/2/3", "1 /2"])
+@pytest.mark.parametrize("text", ["", "3/", "/8", "a", "-1/2", "1.5", "1/2/3", "1 /2", "٣/٨"])
 def test_parse_rational_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_rational(text)
