@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .binary_streams import (
     EPBS,
@@ -154,20 +155,31 @@ class DerivationTrace:
 class _Universe:
     """All canonical streams of bounded size, split by class and T-membership.
 
-    ``forward_images`` maps each canonical stream to its forward image and
-    ``inverse_images`` maps every stream to its inverse image; both are
-    computed once, with the module's current ``forward`` and ``inverse``.
+    ``forward_images`` maps each canonical stream to its forward image,
+    ``inverse_images`` maps every stream to its inverse image, and
+    ``round_trips`` maps every stream to the forward image of its inverse
+    image; each is computed once, with the module's current ``forward``
+    and ``inverse``.
     """
 
     def __init__(self, mu_max: int):
         self.streams = enumerate_canonical(mu_max)
-        self.in_bs = [e for e in self.streams if classify_stream(e) is StreamClass.IN_BS]
-        self.in_bx = [e for e in self.streams if classify_stream(e) is StreamClass.IN_BX]
-        self.t_positions = {e: k for e in self.streams if (k := t_index(e)) is not None}
+        self.in_bs, self.in_bx = [], []
+        for e in self.streams:
+            redundant = classify_stream(e) is StreamClass.IN_BS
+            (self.in_bs if redundant else self.in_bx).append(e)
+        self.redundant = set(self.in_bs)
+        self.t_positions = {e: k for e in self.in_bx if (k := t_index(e)) is not None}
         self.chain = [e for e in self.in_bx if e in self.t_positions]
         self.outside_chain = [e for e in self.in_bx if e not in self.t_positions]
         self.forward_images = {e: forward(e) for e in self.in_bx}
         self.inverse_images = {e: inverse(e) for e in self.streams}
+
+    @cached_property
+    def round_trips(self) -> dict[EPBS, EPBS]:
+        # Built by the first step that reads it, so that a broken inverse
+        # handing forward a redundant stream fails that step, not the trace.
+        return {e: forward(image) for e, image in self.inverse_images.items()}
 
 
 def _check_partition(u: _Universe) -> bool:
@@ -176,7 +188,7 @@ def _check_partition(u: _Universe) -> bool:
     for e in u.streams:
         expansions = expansions_of(value(e))
         second = len(expansions) == 2 and e == expansions[1]
-        if (classify_stream(e) is StreamClass.IN_BS) != second:
+        if (e in u.redundant) != second:
             return False
     return True
 
@@ -228,11 +240,12 @@ def _check_identity_outside_chain(u: _Universe) -> bool:
 
 
 def _check_combined_map(u: _Universe) -> bool:
-    # Inverse images may be larger than the bound, so forward is applied live.
+    # Inverse images may be larger than the bound, so the round trips apply
+    # forward to them rather than look them up.
     images = u.forward_images.values()
     if len(set(images)) != len(images):
         return False
-    return all(forward(image) == e for e, image in u.inverse_images.items())
+    return all(image == e for e, image in u.round_trips.items())
 
 
 def _check_round_trips(u: _Universe) -> bool:
@@ -240,7 +253,7 @@ def _check_round_trips(u: _Universe) -> bool:
     if any(inverse(image) != e for e, image in u.forward_images.items()):
         return False
     return all(
-        forward(image) == e and classify_stream(image) is StreamClass.IN_BX
+        u.round_trips[e] == e and classify_stream(image) is StreamClass.IN_BX
         for e, image in u.inverse_images.items()
     )
 

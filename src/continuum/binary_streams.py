@@ -100,24 +100,43 @@ def format_stream(stream: EPBS) -> str:
 
 def _primitive(period: Bits) -> Bits:
     # The first place a word recurs in itself doubled is its smallest period.
+    if len(period) == 1:
+        return period
     word = bytes(period)
     return period[: (word + word).find(word, 1)]
+
+
+def _absorbable(preamble: Bits, period: Bits) -> int:
+    """How many trailing preamble bits continue the period backwards.
+
+    The preamble is compared with the period repeated leftwards, one byte
+    per bit, so the first difference from the right is the lowest nonzero
+    byte of their XOR.
+    """
+    length = len(preamble)
+    continued = (bytes(period) * (length // len(period) + 1))[-length:]
+    difference = int.from_bytes(bytes(preamble), "big") ^ int.from_bytes(continued, "big")
+    if not difference:
+        return length
+    return ((difference & -difference).bit_length() - 1) // 8
 
 
 def canonicalize(stream: EPBS) -> EPBS:
     """The unique minimal representation of the same infinite stream.
 
     The period is reduced to its primitive block, then preamble bits
-    equal to the period's last bit are absorbed by rotating the period.
-    Two streams are bit-for-bit equal iff their canonical forms are
-    structurally equal. A stream that is already canonical is returned
-    itself, not a copy.
+    equal to the period's last bit are absorbed by rotating the period,
+    all of them in one slice and one rotation. Two streams are
+    bit-for-bit equal iff their canonical forms are structurally equal.
+    A stream that is already canonical is returned itself, not a copy.
     """
     preamble = stream.preamble
     period = _primitive(stream.period)
-    while preamble and preamble[-1] == period[-1]:
-        preamble = preamble[:-1]
-        period = period[-1:] + period[:-1]
+    if preamble and preamble[-1] == period[-1]:
+        absorbed = _absorbable(preamble, period)
+        preamble = preamble[: len(preamble) - absorbed]
+        cut = len(period) - absorbed % len(period)
+        period = period[cut:] + period[:cut]
     if preamble == stream.preamble and period == stream.period:
         return stream
     return EPBS(preamble, period)
@@ -130,30 +149,28 @@ def _bits_to_int(bits: Bits) -> int:
     return value
 
 
+# Maps the digits "0"/"1" of ``format(n, "b")`` to the bits 0/1 in one pass.
+_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _int_to_bits(number: int, width: int) -> Bits:
+    return tuple(format(number, f"0{width}b").encode().translate(_DIGITS_TO_BITS))
+
+
 def value(stream: EPBS) -> Fraction:
     """Exact value of the stream as digits after the binary point."""
-    pre_len = len(stream.preamble)
-    per_len = len(stream.period)
-    head = Fraction(_bits_to_int(stream.preamble), 2**pre_len)
-    tail = Fraction(_bits_to_int(stream.period), 2**pre_len * (2**per_len - 1))
-    return head + tail
+    cycle = 2 ** len(stream.period) - 1
+    numerator = _bits_to_int(stream.preamble) * cycle + _bits_to_int(stream.period)
+    return Fraction(numerator, cycle << len(stream.preamble))
 
 
-def _long_division(numerator: int, denominator: int) -> tuple[list[int], int]:
-    """Binary digits of a proper fraction, with the cycle start position.
-
-    Digits repeat from ``start`` onward; a terminating expansion shows up
-    as the cycle ``[0]``.
-    """
-    seen: dict[int, int] = {}
-    digits: list[int] = []
-    remainder = numerator
-    while remainder not in seen:
-        seen[remainder] = len(digits)
-        remainder *= 2
-        digits.append(remainder // denominator)
-        remainder %= denominator
-    return digits, seen[remainder]
+def _order_of_two(modulus: int) -> int:
+    """The multiplicative order of 2 modulo an odd ``modulus`` > 1."""
+    order, residue = 1, 2 % modulus
+    while residue != 1:
+        residue = residue * 2 % modulus
+        order += 1
+    return order
 
 
 def expansions_of(q: Fraction) -> list[EPBS]:
@@ -161,21 +178,30 @@ def expansions_of(q: Fraction) -> list[EPBS]:
 
     Interior dyadic points get two (trailing 0s, then trailing 1s);
     everything else in [0, 1], including both endpoints, gets one.
+
+    For reduced a/b with b = 2^k * b' and b' odd, the preamble has k bits
+    and the period P = ord_b'(2) bits; together they are the k + P bits
+    of X = a * (2^P - 1) / b', split as X div (2^P - 1) and X mod (2^P - 1).
     """
     q = ensure_unit_interval(q)
     if q == 0:
         return [EPBS((), (0,))]
     if q == 1:
         return [EPBS((), (1,))]
-    digits, start = _long_division(q.numerator, q.denominator)
-    if digits[start:] == [0]:
-        # Terminating expansion: q is a dyadic point with two forms.
-        finite = tuple(digits[:start])
-        trailing_zeros = EPBS(finite, (0,))
-        trailing_ones = EPBS(finite[:-1] + (0,), (1,))
-        return [canonicalize(trailing_zeros), canonicalize(trailing_ones)]
-    stream = EPBS(tuple(digits[:start]), tuple(digits[start:]))
-    return [canonicalize(stream)]
+    numerator, denominator = q.numerator, q.denominator
+    pre_len = (denominator & -denominator).bit_length() - 1
+    odd = denominator >> pre_len
+    if odd == 1:
+        # A dyadic point: the numerator is odd, so both forms are canonical.
+        return [
+            EPBS(_int_to_bits(numerator, pre_len), (0,)),
+            EPBS(_int_to_bits(numerator - 1, pre_len), (1,)),
+        ]
+    per_len = _order_of_two(odd)
+    cycle = 2**per_len - 1
+    head, tail = divmod(numerator * (cycle // odd), cycle)
+    bits = _int_to_bits(head << per_len | tail, pre_len + per_len)
+    return [EPBS(bits[:pre_len], bits[pre_len:])]
 
 
 def classify_stream(stream: EPBS) -> StreamClass:
@@ -193,9 +219,10 @@ def classify_stream(stream: EPBS) -> StreamClass:
 def dual_of(stream: EPBS) -> EPBS | None:
     """The other expansion of the same value, if the value is dual-dyadic."""
     canonical = canonicalize(stream)
-    if not isinstance(classify(value(canonical)), DualDyadic):
+    point = value(canonical)
+    if not isinstance(classify(point), DualDyadic):
         return None
-    first, second = expansions_of(value(canonical))
+    first, second = expansions_of(point)
     return second if canonical == first else first
 
 
@@ -210,6 +237,23 @@ def enumerate_streams(max_size: int) -> Iterator[EPBS]:
 
 
 def enumerate_canonical(max_size: int) -> tuple[EPBS, ...]:
-    """Distinct canonical streams of bounded size, in a fixed order."""
-    unique = {canonicalize(e) for e in enumerate_streams(max_size)}
-    return tuple(sorted(unique, key=lambda e: (e.size, e.preamble, e.period)))
+    """Distinct canonical streams of bounded size, in a fixed order.
+
+    A canonical stream is a primitive period q after a preamble that is
+    empty or ends in the bit opposite to q's last bit, so the pairs are
+    generated directly rather than by canonicalizing every raw stream.
+    """
+    words = [
+        word
+        for per_len in range(1, max_size + 1)
+        for word in itertools.product((0, 1), repeat=per_len)
+        if _primitive(word) == word
+    ]
+    streams = []
+    for period in words:
+        streams.append(EPBS((), period))
+        closing = (1 - period[-1],)
+        for pre_len in range(1, max_size - len(period) + 1):
+            for head in itertools.product((0, 1), repeat=pre_len - 1):
+                streams.append(EPBS(head + closing, period))
+    return tuple(sorted(streams, key=lambda e: (e.size, e.preamble, e.period)))

@@ -263,3 +263,17 @@ def test_trace_catches_identity_inverse(monkeypatch):
     # Step 29 applies the real forward to the stored inverse images only, so
     # it fails only if those were computed with the patched inverse.
     assert results[29] == "fail"
+
+
+def test_trace_round_trips_use_the_live_forward(monkeypatch):
+    # forward is wrong on (01) alone; the round-trip images shared by steps
+    # 29 and 30 must be built with this forward, not a captured original.
+    original, wrong_on, wrong_image = bijection.forward, parse_stream("(01)"), parse_stream("(10)")
+
+    def forward_wrong_on_one(stream):
+        return wrong_image if canonicalize(stream) == wrong_on else original(stream)
+
+    monkeypatch.setattr(bijection, "forward", forward_wrong_on_one)
+    assert bijection._Universe(6).round_trips[wrong_on] == wrong_image
+    results = _results(derivation_trace(6))
+    assert results[28] == results[29] == results[30] == "fail"

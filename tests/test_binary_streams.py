@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,75 @@ def approx_value(stream, n):
     """Oracle: truncate the expansion at n bits and read it as an integer."""
     expanded = stream.bits(n)
     return Fraction(int("".join(map(str, expanded)), 2) if expanded else 0, 2**n)
+
+
+def canonicalize_bit_by_bit(stream):
+    """Oracle: smallest period by trial, then absorb one preamble bit per step."""
+    period = stream.period
+    size = next(
+        d for d in range(1, len(period) + 1)
+        if len(period) % d == 0 and period[:d] * (len(period) // d) == period
+    )
+    preamble, period = stream.preamble, period[:size]
+    while preamble and preamble[-1] == period[-1]:
+        preamble = preamble[:-1]
+        period = period[-1:] + period[:-1]
+    return EPBS(preamble, period)
+
+
+def long_division(numerator, denominator):
+    """Oracle: binary digits of a proper fraction, with the cycle start position.
+
+    Digits repeat from ``start`` onward; a terminating expansion shows up
+    as the cycle ``[0]``.
+    """
+    seen = {}
+    digits = []
+    remainder = numerator
+    while remainder not in seen:
+        seen[remainder] = len(digits)
+        remainder *= 2
+        digits.append(remainder // denominator)
+        remainder %= denominator
+    return digits, seen[remainder]
+
+
+def expansions_by_long_division(q):
+    """Oracle for ``expansions_of``: the digits of q, read off long division."""
+    if q == 0:
+        return [EPBS((), (0,))]
+    if q == 1:
+        return [EPBS((), (1,))]
+    digits, start = long_division(q.numerator, q.denominator)
+    if digits[start:] == [0]:
+        finite = tuple(digits[:start])
+        return [EPBS(finite, (0,)), EPBS(finite[:-1] + (0,), (1,))]
+    return [EPBS(tuple(digits[:start]), tuple(digits[start:]))]
+
+
+def count_primitive_words(length):
+    """M(P) = sum over d | P of Moebius(d) * 2^(P/d)."""
+    def moebius(n):
+        sign, p = 1, 2
+        while p * p <= n:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return -sign if n > 1 else sign
+
+    return sum(moebius(d) * 2 ** (length // d) for d in range(1, length + 1) if length % d == 0)
+
+
+def count_canonical(mu):
+    """Closed form: a primitive period, after an empty preamble or one of length
+    L whose last bit is fixed as the opposite of the period's last bit."""
+    return sum(
+        count_primitive_words(p) * (1 + sum(2 ** (length - 1) for length in range(1, mu - p + 1)))
+        for p in range(1, mu + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +178,29 @@ def test_canonicalize_idempotent_and_value_preserving(stream):
     assert canonicalize(canonical) == canonical
     assert value(canonical) == value(stream)
     assert stream.bits(96) == canonical.bits(96)
+
+
+@given(streams)
+def test_canonicalize_matches_bit_by_bit_oracle(stream):
+    canonical = canonicalize(stream)
+    assert canonical == canonicalize_bit_by_bit(stream)
+    if canonical == stream:
+        assert canonical is stream
+
+
+@pytest.mark.parametrize("absorbed", [1, 199, 200, 201, 999, 1000])
+def test_canonicalize_absorbs_long_preambles(absorbed):
+    # A 200-bit period whose backward continuation fills the last
+    # ``absorbed`` bits of a 1000-bit preamble.
+    rng = random.Random(absorbed)
+    period = tuple(rng.getrandbits(1) for _ in range(200))
+    head = tuple(rng.getrandbits(1) for _ in range(1000 - absorbed))
+    repeated = period * (absorbed // 200 + 1)
+    tail = repeated[len(repeated) - absorbed :]
+    for stream in (EPBS(head + tail, period), EPBS(head + tail, period * 3)):
+        canonical = canonicalize(stream)
+        assert canonical == canonicalize_bit_by_bit(stream)
+        assert len(canonical.preamble) <= 1000 - absorbed
 
 
 def test_canonical_equality_decides_stream_equality():
@@ -191,6 +285,33 @@ def test_everything_else_gets_one_expansion():
             assert value(expansions[0]) == q
 
 
+def _assert_expansions_match_long_division(q):
+    found = expansions_of(q)
+    assert found == expansions_by_long_division(q)
+    assert all(canonicalize(e) == e for e in found)
+
+
+def test_expansions_match_long_division_below_400():
+    for den in range(1, 400):
+        for num in range(0, den + 1):
+            if math.gcd(num, den) == 1:
+                _assert_expansions_match_long_division(Fraction(num, den))
+
+
+@pytest.mark.parametrize("prime", [99877, 99923, 99989])
+def test_expansions_match_long_division_full_period_primes(prime):
+    # 2 is a primitive root of each prime, so 1/p has a period of p - 1 bits.
+    for shift in (0, 1, 7):
+        q = Fraction(prime // 3 | 1, prime << shift)  # odd numerator: stays reduced
+        _assert_expansions_match_long_division(q)
+        (expansion,) = expansions_of(q)
+        assert len(expansion.preamble) == shift and len(expansion.period) == prime - 1
+
+
+def test_expansions_match_long_division_one_over_1000003():
+    _assert_expansions_match_long_division(Fraction(1, 1000003))
+
+
 def test_expansion_round_trip_exhaustive():
     # Every bounded stream reappears among the expansions of its value.
     for stream in enumerate_streams(10):
@@ -252,6 +373,19 @@ def test_enumerate_streams_count():
     # n * 2^n streams of total size exactly n.
     assert sum(1 for _ in enumerate_streams(3)) == 2 + 8 + 24
     assert sum(1 for _ in enumerate_streams(10)) == sum(n * 2**n for n in range(1, 11))
+
+
+@pytest.mark.parametrize("mu", range(1, 11))
+def test_enumerate_canonical_matches_canonicalized_raw_streams(mu):
+    unique = {canonicalize(e) for e in enumerate_streams(mu)}
+    expected = tuple(sorted(unique, key=lambda e: (e.size, e.preamble, e.period)))
+    assert enumerate_canonical(mu) == expected
+
+
+@pytest.mark.parametrize("mu, count", [(8, 1716), (10, 8862), (12, 43560), (14, 206874)])
+def test_enumerate_canonical_count_closed_form(mu, count):
+    assert count_canonical(mu) == count
+    assert len(enumerate_canonical(mu)) == count
 
 
 def test_enumerate_canonical_is_deterministic_and_unique():
