@@ -66,6 +66,12 @@ def _split_labels(text: str) -> list[str]:
 def _cmd_coverings(args) -> str:
     domain = finite_sets.make_set(_split_labels(args.exp))
     codomain = finite_sets.make_set(_split_labels(args.base))
+    cost = len(codomain) ** len(domain)
+    if cost > args.budget:
+        raise BudgetExceeded(
+            f"coverings of {len(domain)} labels with {len(codomain)} labels "
+            f"would enumerate {cost} items (budget {args.budget})"
+        )
     coverings = finite_sets.covering_set(domain, codomain)
     return "\n".join(cov.word() for cov in coverings)
 
@@ -152,6 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     coverings = sub.add_parser("coverings", help="enumerate the covering-set of one set with another")
     coverings.add_argument("--exp", required=True, help="comma-separated exponent-side (domain) labels")
     coverings.add_argument("--base", required=True, help="comma-separated base-side (codomain) labels")
+    coverings.add_argument("--budget", type=_positive_int, default=finite_sets.DEFAULT_BUDGET)
     coverings.set_defaults(handler=_cmd_coverings)
 
     laws = sub.add_parser("laws", help="verify exponent laws by explicit bijection")

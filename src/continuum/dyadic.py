@@ -109,7 +109,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def ensure_unit_interval(q: Fraction) -> Fraction:
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if not 0 <= q <= 1:
         raise OutOfRange(f"{q} is not in [0, 1]")
     return q

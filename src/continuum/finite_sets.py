@@ -16,7 +16,7 @@ the natural bijection between both sides element by element.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, DisjointnessViolation
@@ -31,10 +31,14 @@ class FiniteSet:
     """Ordered finite set of distinct labels (insertion order kept)."""
 
     elements: tuple[str, ...] = ()
+    # The labels as a frozenset, kept from the duplicate check for membership tests.
+    members: frozenset[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
+        members = frozenset(self.elements)
+        if len(members) != len(self.elements):
             raise ValueError("duplicate labels in FiniteSet")
+        object.__setattr__(self, "members", members)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -43,10 +47,10 @@ class FiniteSet:
         return iter(self.elements)
 
     def __contains__(self, label: object) -> bool:
-        return label in self.elements
+        return label in self.members
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Covering:
     """A total function from ``domain`` into ``codomain``.
 
@@ -58,12 +62,12 @@ class Covering:
     assignment: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.assignment) != len(self.domain):
+        if len(self.assignment) != len(self.domain.elements):
             raise ValueError("assignment is not total over the domain")
-        allowed = set(self.codomain.elements)
-        for value in self.assignment:
-            if value not in allowed:
-                raise ValueError(f"assigned value {value!r} is not in the codomain")
+        allowed = self.codomain.members
+        if not allowed.issuperset(self.assignment):
+            value = next(value for value in self.assignment if value not in allowed)
+            raise ValueError(f"assigned value {value!r} is not in the codomain")
 
     def __call__(self, label: str) -> str:
         return self.assignment[self.domain.elements.index(label)]
@@ -111,14 +115,20 @@ class LawWitness:
     left_set: FiniteSet
     right_set: FiniteSet
     pairs: tuple[tuple[str, str], ...]
+    # The verdict of the first is_bijection call; every field is immutable.
+    _bijective: bool | None = field(default=None, init=False, compare=False, repr=False)
 
     def is_bijection(self) -> bool:
-        lefts = [left for left, _ in self.pairs]
-        rights = [right for _, right in self.pairs]
-        total = len(self.pairs) == len(self.left_set) and set(lefts) == set(self.left_set.elements)
-        injective = len(set(rights)) == len(rights)
-        surjective = set(rights) == set(self.right_set.elements)
-        return total and injective and surjective
+        if self._bijective is None:
+            lefts = {left for left, _ in self.pairs}
+            rights = {right for _, right in self.pairs}
+            count = len(self.pairs)
+            # With count == |left_set| and lefts == left_set, no left repeats.
+            total = count == len(self.left_set) and lefts == self.left_set.members
+            injective = len(rights) == count
+            surjective = rights == self.right_set.members
+            object.__setattr__(self, "_bijective", total and injective and surjective)
+        return self._bijective
 
 
 def make_set(labels: Iterable[str]) -> FiniteSet:
@@ -224,43 +234,46 @@ def _enumeration_cost(law_id: str, a: int, b: int, c: int) -> int:
     return a**b + (a**b) ** c + c * b + a ** (b * c)
 
 
+def _label_set(coverings: CoveringSet) -> FiniteSet:
+    # The right-hand side is built first and kept only as labels, so its
+    # Covering objects are freed before the pair loop.
+    return FiniteSet(tuple(cov.label() for cov in coverings))
+
+
 def _add_exp_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSet, FiniteSet, tuple]:
     # Pairs of coverings (N -> M, P -> M)  <->  coverings of N (+) P with M.
-    nm = covering_set(n, m)
-    pm = covering_set(p, m)
-    right = covering_set(disjoint_union(n, p), m)
+    glued_domain = disjoint_union(n, p)
+    right_set = _label_set(covering_set(glued_domain, m))
+    pm = [(g.label(), g.assignment) for g in covering_set(p, m)]
     left_labels = []
     pairs = []
-    for f in nm:
-        for g in pm:
-            left = pair_label(f.label(), g.label())
-            glued = Covering(right.domain, m, f.assignment + g.assignment)
+    for f in covering_set(n, m):
+        f_label = f.label()
+        for g_label, g_assignment in pm:
+            left = pair_label(f_label, g_label)
+            glued = Covering(glued_domain, m, f.assignment + g_assignment)
             left_labels.append(left)
             pairs.append((left, glued.label()))
-    left_set = FiniteSet(tuple(left_labels))
-    right_set = FiniteSet(tuple(cov.label() for cov in right))
-    return left_set, right_set, tuple(pairs)
+    return FiniteSet(tuple(left_labels)), right_set, tuple(pairs)
 
 
 def _mul_exp_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSet, FiniteSet, tuple]:
     # Pairs of coverings (P -> M, P -> N)  <->  coverings of P with M x N.
-    pm = covering_set(p, m)
-    pn = covering_set(p, n)
     mn = product(m, n)
-    right = covering_set(p, mn)
+    right_set = _label_set(covering_set(p, mn))
+    pn = [(g.label(), g.assignment) for g in covering_set(p, n)]
     left_labels = []
     pairs = []
-    for f in pm:
-        for g in pn:
-            left = pair_label(f.label(), g.label())
+    for f in covering_set(p, m):
+        f_label = f.label()
+        for g_label, g_assignment in pn:
+            left = pair_label(f_label, g_label)
             paired = Covering(
-                p, mn, tuple(pair_label(x, y) for x, y in zip(f.assignment, g.assignment))
+                p, mn, tuple(pair_label(x, y) for x, y in zip(f.assignment, g_assignment))
             )
             left_labels.append(left)
             pairs.append((left, paired.label()))
-    left_set = FiniteSet(tuple(left_labels))
-    right_set = FiniteSet(tuple(cov.label() for cov in right))
-    return left_set, right_set, tuple(pairs)
+    return FiniteSet(tuple(left_labels)), right_set, tuple(pairs)
 
 
 def _curry_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSet, FiniteSet, tuple]:
@@ -268,18 +281,19 @@ def _curry_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSet,
     nm = covering_set(n, m)
     by_label = {cov.label(): cov for cov in nm}
     nm_labels = FiniteSet(tuple(by_label))
-    left = covering_set(p, nm_labels)
-    right = covering_set(product(p, n), m)
+    pn = product(p, n)
+    right_set = _label_set(covering_set(pn, m))
+    left_labels = []
     pairs = []
-    for outer in left:
+    for outer in covering_set(p, nm_labels):
         flat = tuple(
             itertools.chain.from_iterable(by_label[lab].assignment for lab in outer.assignment)
         )
-        uncurried = Covering(right.domain, m, flat)
-        pairs.append((outer.label(), uncurried.label()))
-    left_set = FiniteSet(tuple(cov.label() for cov in left))
-    right_set = FiniteSet(tuple(cov.label() for cov in right))
-    return left_set, right_set, tuple(pairs)
+        uncurried = Covering(pn, m, flat)
+        left = outer.label()
+        left_labels.append(left)
+        pairs.append((left, uncurried.label()))
+    return FiniteSet(tuple(left_labels)), right_set, tuple(pairs)
 
 
 _LAW_BUILDERS = {

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -27,6 +28,38 @@ def test_coverings_empty_domain():
     result = run(["coverings", "--exp", "", "--base", "0,1"])
     assert result.exit_code == 0
     assert result.output == ""  # the single empty covering
+
+
+def _binary_labels(count):
+    return ",".join(f"n{i}" for i in range(count))
+
+
+def test_coverings_over_default_budget_refused_before_enumerating():
+    start = time.perf_counter()
+    result = run(["coverings", "--exp", _binary_labels(30), "--base", "0,1"])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert result.output == ""
+    assert result.diagnostics.startswith("BudgetExceeded: ")
+    assert len(result.diagnostics.splitlines()) == 1
+
+
+def test_coverings_budget_flag():
+    argv = ["coverings", "--exp", _binary_labels(4), "--base", "0,1"]
+    result = run(argv + ["--budget", "16"])
+    assert result.exit_code == 0
+    assert result.output.splitlines() == [format(i, "04b") for i in range(16)]
+    refused = run(argv + ["--budget", "15"])
+    assert refused.exit_code == 2
+    assert refused.output == ""
+    assert refused.diagnostics.startswith("BudgetExceeded: ")
+    assert run(argv + ["--budget", "0"]).exit_code == 1
+
+
+def test_coverings_sixteen_labels_within_default_budget():
+    result = run(["coverings", "--exp", _binary_labels(16), "--base", "0,1"])
+    assert result.exit_code == 0
+    assert result.output == "\n".join(format(i, "016b") for i in range(2**16))
 
 
 # ---------------------------------------------------------------------------

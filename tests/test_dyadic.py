@@ -9,6 +9,7 @@ from continuum.dyadic import (
     Endpoint,
     OtherRational,
     classify,
+    ensure_unit_interval,
     enumerate_duals,
     index_of,
     parse_rational,
@@ -85,6 +86,16 @@ def test_classify_examples():
 def test_classify_out_of_range(q):
     with pytest.raises(OutOfRange):
         classify(q)
+
+
+def test_ensure_unit_interval_keeps_fractions_and_converts_ints():
+    q = Fraction(3, 8)
+    assert ensure_unit_interval(q) is q
+    for n in (0, 1):
+        result = ensure_unit_interval(n)
+        assert type(result) is Fraction and result == n
+    with pytest.raises(OutOfRange):
+        ensure_unit_interval(2)
 
 
 def _is_power_of_two(n):

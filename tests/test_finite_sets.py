@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
+from continuum import finite_sets
 from continuum.errors import BudgetExceeded, DisjointnessViolation
 from continuum.finite_sets import (
     Covering,
@@ -43,6 +45,19 @@ def test_make_set(raw, expected):
 def test_finite_set_rejects_duplicates():
     with pytest.raises(ValueError):
         FiniteSet(("a", "a"))
+
+
+def test_finite_set_equality_hash_and_repr():
+    first, second = FiniteSet(("a", "b")), make_set(["a", "b", "a"])
+    assert first == second and hash(first) == hash(second)
+    assert first != FiniteSet(("b", "a"))
+    assert repr(FiniteSet(("a",))) == "FiniteSet(elements=('a',))"
+
+
+@given(labels, st.sampled_from("abcdexyz01"))
+def test_finite_set_membership_agrees_with_elements(raw, label):
+    s = make_set(raw)
+    assert (label in s) == (label in s.elements)
 
 
 @given(labels)
@@ -134,8 +149,12 @@ def test_covering_lookup_and_validation():
     assert cov("a") == "0" and cov("b") == "1"
     with pytest.raises(ValueError):
         Covering(make_set("ab"), make_set("01"), ("0",))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'2'"):
         Covering(make_set("ab"), make_set("01"), ("0", "2"))
+    with pytest.raises(ValueError, match="'x'"):
+        Covering(make_set("abc"), make_set("01"), ("1", "x", "y"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cov.assignment = ("1", "1")
 
 
 # ---------------------------------------------------------------------------
@@ -240,3 +259,94 @@ def test_law_witness_detects_bad_pairs():
         witness.pairs[:-1] + (witness.pairs[0],),
     )
     assert not broken.is_bijection()
+
+
+# Oracle for the law witnesses: the expected sets and pairs are spelled out
+# with itertools.product and string formatting only. Labels: role witnesses
+# are "M.e0", ...; a covering is "[v0,v1,...]"; a pair is "(x,y)".
+
+def _bracket(values):
+    return "[" + ",".join(values) + "]"
+
+
+def _oracle_witness(law_id, a, b, c):
+    m = [f"M.e{i}" for i in range(a)]
+    n = [f"N.e{i}" for i in range(b)]
+    if law_id == "ADD_EXP":
+        fs, gs = list(itertools.product(m, repeat=b)), list(itertools.product(m, repeat=c))
+        pairs = [(f"({_bracket(f)},{_bracket(g)})", _bracket(f + g)) for f in fs for g in gs]
+        right = [_bracket(h) for h in itertools.product(m, repeat=b + c)]
+    elif law_id == "MUL_EXP":
+        fs, gs = list(itertools.product(m, repeat=c)), list(itertools.product(n, repeat=c))
+        pairs = [
+            (f"({_bracket(f)},{_bracket(g)})", _bracket(f"({x},{y})" for x, y in zip(f, g)))
+            for f in fs
+            for g in gs
+        ]
+        mn = [f"({x},{y})" for x in m for y in n]
+        right = [_bracket(h) for h in itertools.product(mn, repeat=c)]
+    else:
+        inner = list(itertools.product(m, repeat=b))
+        pairs = [
+            (_bracket(_bracket(f) for f in outer), _bracket(v for f in outer for v in f))
+            for outer in itertools.product(inner, repeat=c)
+        ]
+        right = [_bracket(h) for h in itertools.product(m, repeat=c * b)]
+    return tuple(left for left, _ in pairs), tuple(right), tuple(pairs)
+
+
+@pytest.mark.parametrize(
+    "law_id, a, b, c",
+    [(law, *abc) for law in LAW_IDS for abc in itertools.product(range(3), repeat=3)]
+    + [("ADD_EXP", 2, 2, 3)],
+)
+def test_law_witness_matches_oracle(law_id, a, b, c):
+    witness = verify_exponent_law(law_id, a, b, c)
+    left, right, pairs = _oracle_witness(law_id, a, b, c)
+    assert witness.left_set.elements == left
+    assert witness.right_set.elements == right
+    assert witness.pairs == pairs
+
+
+def test_verify_rejects_a_builder_that_breaks_the_bijection(monkeypatch):
+    original = finite_sets._LAW_BUILDERS["ADD_EXP"]
+
+    def exchanged(m, n, p):
+        # Exchanging the right labels of two pairs is still a bijection,
+        # only not the natural one; the oracle comparison catches that.
+        left_set, right_set, pairs = original(m, n, p)
+        (l0, r0), (l1, r1) = pairs[:2]
+        return left_set, right_set, ((l0, r1), (l1, r0)) + pairs[2:]
+
+    def collided(m, n, p):
+        left_set, right_set, pairs = original(m, n, p)
+        (l0, r0), (l1, _) = pairs[:2]
+        return left_set, right_set, ((l0, r0), (l1, r0)) + pairs[2:]
+
+    monkeypatch.setitem(finite_sets._LAW_BUILDERS, "ADD_EXP", exchanged)
+    witness = verify_exponent_law("ADD_EXP", 2, 2, 3)
+    assert witness.pairs != _oracle_witness("ADD_EXP", 2, 2, 3)[2]
+    monkeypatch.setitem(finite_sets._LAW_BUILDERS, "ADD_EXP", collided)
+    with pytest.raises(AssertionError):
+        verify_exponent_law("ADD_EXP", 2, 2, 3)
+
+
+def test_law_witness_verdict_is_per_instance():
+    witness = verify_exponent_law("MUL_EXP", 2, 2, 2)
+    assert witness.is_bijection()
+    broken = witness.pairs[:-1] + (witness.pairs[0],)
+    assert not dataclasses.replace(witness, pairs=broken).is_bijection()
+    assert witness.is_bijection()
+
+
+@pytest.mark.parametrize(
+    "left, right, pairs",
+    [
+        ("ab", "xy", (("a", "x"),)),  # not total
+        ("ab", "x", (("a", "x"), ("b", "x"))),  # not injective
+        ("a", "xy", (("a", "x"),)),  # not surjective
+        ("ab", "xy", (("a", "x"), ("a", "y"))),  # a left label repeats, b is missed
+    ],
+)
+def test_law_witness_checks_each_property(left, right, pairs):
+    assert not LawWitness("ADD_EXP", make_set(left), make_set(right), pairs).is_bijection()
