@@ -31,7 +31,6 @@ from functools import cached_property
 from .binary_streams import (
     EPBS,
     StreamClass,
-    _bits_to_int,
     canonicalize,
     classify_stream,
     enumerate_canonical,
@@ -46,34 +45,32 @@ from .finite_sets import cardinal_pow
 def t_enumerate(k: int) -> EPBS:
     """k-th element of T: trailing-zeros form of the k-th dyadic point."""
     point = Dyadic.from_index(k)
-    bits = format(point.numerator, f"0{point.exponent}b")
-    return EPBS(tuple(int(b) for b in bits), (0,))
+    return EPBS(format(point.numerator, f"0{point.exponent}b"), "0")
 
 
 def s_enumerate(k: int) -> EPBS:
     """k-th redundant stream: trailing-ones form of the k-th dyadic point."""
     point = Dyadic.from_index(k)
-    bits = format(point.numerator - 1, f"0{point.exponent}b")
-    return EPBS(tuple(int(b) for b in bits), (1,))
+    return EPBS(format(point.numerator - 1, f"0{point.exponent}b"), "1")
 
 
-def _dyadic_index(stream: EPBS, tail: int) -> int | None:
+def _dyadic_index(stream: EPBS, tail: str) -> int | None:
     # ``w(tail)`` with w nonempty expands the dyadic point (int(w) + tail) / 2^|w|.
     canonical = canonicalize(stream)
-    if canonical.period != (tail,) or not canonical.preamble:
+    if canonical.period != tail or not canonical.preamble:
         return None
-    numerator = _bits_to_int(canonical.preamble) + tail
+    numerator = int(canonical.preamble, 2) + int(tail)
     return index_of(Dyadic(numerator, len(canonical.preamble)))
 
 
 def t_index(stream: EPBS) -> int | None:
     """Index of a canonical stream in T, or None when it is outside T."""
-    return _dyadic_index(stream, 0)
+    return _dyadic_index(stream, "0")
 
 
 def s_index(stream: EPBS) -> int | None:
     """Index k with ``stream == s_k``, or None if the stream is canonical."""
-    return _dyadic_index(stream, 1)
+    return _dyadic_index(stream, "1")
 
 
 def forward(stream: EPBS) -> EPBS:

@@ -1,5 +1,8 @@
 """Eventually periodic binary streams, written ``preamble(period)``.
 
+Bits are the characters ``"0"`` and ``"1"`` everywhere, in the library
+as in the literal: ``parse_stream("011(0)") == EPBS("011", "0")``.
+
 These are exactly the binary expansions of rationals, so they form the
 computable fragment of the space of all infinite 0/1 strings: values
 are exact, equality is decidable (via a canonical form), and the
@@ -30,33 +33,37 @@ from typing import Iterator
 from .dyadic import DualDyadic, classify, ensure_unit_interval
 from .errors import ParseError
 
-Bits = tuple[int, ...]
-
 
 @dataclass(frozen=True)
 class EPBS:
-    """An eventually periodic bit stream: finite preamble, repeating block."""
+    """An eventually periodic bit stream: finite preamble, repeating block.
 
-    preamble: Bits
-    period: Bits
+    Both parts are strings of the characters ``"0"`` and ``"1"``.
+    """
+
+    preamble: str
+    period: str
 
     def __post_init__(self):
+        # This check is what makes ``int(part, 2)`` safe: ``int`` would
+        # also accept "_", whitespace and non-ASCII digits.
+        for part in (self.preamble, self.period):
+            if not isinstance(part, str):
+                raise ValueError(f"bits must be a string of '0' and '1', got {part!r}")
+            bad = part.strip("01")
+            if bad:
+                raise ValueError(f"bits must be '0' or '1', got {bad[0]!r}")
         if not self.period:
             raise ValueError("period must be nonempty")
-        for bit in self.preamble + self.period:
-            if bit not in (0, 1):
-                raise ValueError(f"bits must be 0 or 1, got {bit!r}")
 
     @property
     def size(self) -> int:
         return len(self.preamble) + len(self.period)
 
-    def bits(self, count: int) -> list[int]:
+    def bits(self, count: int) -> str:
         """The first ``count`` bits of the infinite expansion."""
-        out = list(self.preamble[:count])
-        while len(out) < count:
-            out.extend(self.period)
-        return out[:count]
+        repeats = max(count - len(self.preamble), 0) // len(self.period) + 1
+        return (self.preamble + self.period * repeats)[:count]
 
     def __str__(self) -> str:
         return format_stream(self)
@@ -85,40 +92,31 @@ def parse_stream(text: str) -> EPBS:
             raise ParseError(
                 f"invalid period character {ch!r}", position=open_at + 1 + i
             )
-    return EPBS(
-        tuple(int(ch) for ch in text[:open_at]),
-        tuple(int(ch) for ch in body),
-    )
+    return EPBS(text[:open_at], body)
 
 
 def format_stream(stream: EPBS) -> str:
     """Inverse of :func:`parse_stream`."""
-    pre = "".join(str(b) for b in stream.preamble)
-    per = "".join(str(b) for b in stream.period)
-    return f"{pre}({per})"
+    return f"{stream.preamble}({stream.period})"
 
 
-def _primitive(period: Bits) -> Bits:
+def _primitive(period: str) -> str:
     # The first place a word recurs in itself doubled is its smallest period.
-    if len(period) == 1:
-        return period
-    word = bytes(period)
-    return period[: (word + word).find(word, 1)]
+    return period[: (period + period).find(period, 1)]
 
 
-def _absorbable(preamble: Bits, period: Bits) -> int:
+def _absorbable(preamble: str, period: str) -> int:
     """How many trailing preamble bits continue the period backwards.
 
-    The preamble is compared with the period repeated leftwards, one byte
-    per bit, so the first difference from the right is the lowest nonzero
-    byte of their XOR.
+    The preamble is compared with the period repeated leftwards, so the
+    first difference from the right is the lowest set bit of their XOR.
     """
     length = len(preamble)
-    continued = (bytes(period) * (length // len(period) + 1))[-length:]
-    difference = int.from_bytes(bytes(preamble), "big") ^ int.from_bytes(continued, "big")
+    continued = (period * (length // len(period) + 1))[-length:]
+    difference = int(preamble, 2) ^ int(continued, 2)
     if not difference:
         return length
-    return ((difference & -difference).bit_length() - 1) // 8
+    return (difference & -difference).bit_length() - 1
 
 
 def canonicalize(stream: EPBS) -> EPBS:
@@ -142,25 +140,10 @@ def canonicalize(stream: EPBS) -> EPBS:
     return EPBS(preamble, period)
 
 
-def _bits_to_int(bits: Bits) -> int:
-    value = 0
-    for bit in bits:
-        value = value * 2 + bit
-    return value
-
-
-# Maps the digits "0"/"1" of ``format(n, "b")`` to the bits 0/1 in one pass.
-_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _int_to_bits(number: int, width: int) -> Bits:
-    return tuple(format(number, f"0{width}b").encode().translate(_DIGITS_TO_BITS))
-
-
 def value(stream: EPBS) -> Fraction:
     """Exact value of the stream as digits after the binary point."""
     cycle = 2 ** len(stream.period) - 1
-    numerator = _bits_to_int(stream.preamble) * cycle + _bits_to_int(stream.period)
+    numerator = int(stream.preamble or "0", 2) * cycle + int(stream.period, 2)
     return Fraction(numerator, cycle << len(stream.preamble))
 
 
@@ -185,22 +168,22 @@ def expansions_of(q: Fraction) -> list[EPBS]:
     """
     q = ensure_unit_interval(q)
     if q == 0:
-        return [EPBS((), (0,))]
+        return [EPBS("", "0")]
     if q == 1:
-        return [EPBS((), (1,))]
+        return [EPBS("", "1")]
     numerator, denominator = q.numerator, q.denominator
     pre_len = (denominator & -denominator).bit_length() - 1
     odd = denominator >> pre_len
     if odd == 1:
         # A dyadic point: the numerator is odd, so both forms are canonical.
         return [
-            EPBS(_int_to_bits(numerator, pre_len), (0,)),
-            EPBS(_int_to_bits(numerator - 1, pre_len), (1,)),
+            EPBS(format(numerator, f"0{pre_len}b"), "0"),
+            EPBS(format(numerator - 1, f"0{pre_len}b"), "1"),
         ]
     per_len = _order_of_two(odd)
     cycle = 2**per_len - 1
     head, tail = divmod(numerator * (cycle // odd), cycle)
-    bits = _int_to_bits(head << per_len | tail, pre_len + per_len)
+    bits = format(head << per_len | tail, f"0{pre_len + per_len}b")
     return [EPBS(bits[:pre_len], bits[pre_len:])]
 
 
@@ -211,7 +194,7 @@ def classify_stream(stream: EPBS) -> StreamClass:
     below 1; ``(1)`` itself (value 1) and ``(0)`` (value 0) are ``InBX``.
     """
     canonical = canonicalize(stream)
-    if canonical.period == (1,) and canonical.preamble:
+    if canonical.period == "1" and canonical.preamble:
         return StreamClass.IN_BS
     return StreamClass.IN_BX
 
@@ -226,13 +209,18 @@ def dual_of(stream: EPBS) -> EPBS | None:
     return second if canonical == first else first
 
 
+def _words(length: int) -> Iterator[str]:
+    """Every bit string of the given length, in increasing order."""
+    return map("".join, itertools.product("01", repeat=length))
+
+
 def enumerate_streams(max_size: int) -> Iterator[EPBS]:
     """All raw streams with ``len(preamble) + len(period) <= max_size``."""
     for total in range(1, max_size + 1):
         for per_len in range(1, total + 1):
             pre_len = total - per_len
-            for pre in itertools.product((0, 1), repeat=pre_len):
-                for per in itertools.product((0, 1), repeat=per_len):
+            for pre in _words(pre_len):
+                for per in _words(per_len):
                     yield EPBS(pre, per)
 
 
@@ -246,14 +234,14 @@ def enumerate_canonical(max_size: int) -> tuple[EPBS, ...]:
     words = [
         word
         for per_len in range(1, max_size + 1)
-        for word in itertools.product((0, 1), repeat=per_len)
+        for word in _words(per_len)
         if _primitive(word) == word
     ]
     streams = []
     for period in words:
-        streams.append(EPBS((), period))
-        closing = (1 - period[-1],)
+        streams.append(EPBS("", period))
+        closing = "1" if period[-1] == "0" else "0"
         for pre_len in range(1, max_size - len(period) + 1):
-            for head in itertools.product((0, 1), repeat=pre_len - 1):
+            for head in _words(pre_len - 1):
                 streams.append(EPBS(head + closing, period))
     return tuple(sorted(streams, key=lambda e: (e.size, e.preamble, e.period)))

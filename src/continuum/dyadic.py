@@ -92,6 +92,15 @@ class OtherRational:
 PointClass = DualDyadic | Endpoint | OtherRational
 
 
+def _integer(match: re.Match, group: int) -> int:
+    digits = match.group(group)
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter's limit on int() digits
+        message = f"integer of {len(digits)} digits is too long"
+        raise ParseError(message, position=match.start(group)) from None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` (nonnegative ASCII integers, q > 0)."""
     match = _RATIONAL_RE.fullmatch(text)
@@ -101,8 +110,8 @@ def parse_rational(text: str) -> Fraction:
             f"not a rational literal: {text!r}",
             position=prefix.end() if prefix else 0,
         )
-    numerator = int(match.group(1))
-    denominator = int(match.group(2)) if match.group(2) is not None else 1
+    numerator = _integer(match, 1)
+    denominator = _integer(match, 2) if match.group(2) is not None else 1
     if denominator == 0:
         raise ParseError(f"zero denominator in {text!r}", position=match.start(2))
     return Fraction(numerator, denominator)

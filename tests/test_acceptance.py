@@ -124,8 +124,8 @@ def test_criterion_6_branch_discipline():
         mu = 1
         while len(oracle) < 1002:
             for numerator in range(1, 2**mu, 2):
-                digits = tuple(int(b) for b in format(numerator, f"0{mu}b"))
-                oracle.append((EPBS(digits, (0,)), EPBS(digits[:-1] + (0,), (1,))))
+                digits = format(numerator, f"0{mu}b")
+                oracle.append((EPBS(digits, "0"), EPBS(digits[:-1] + "0", "1")))
             mu += 1
         for k in range(501):
             chain_k, redundant_k = oracle[k]

@@ -31,8 +31,8 @@ from continuum.cli import run
 from continuum.dyadic import Dyadic, enumerate_duals
 from continuum.errors import DomainViolation
 
-bits = st.lists(st.integers(0, 1), max_size=8).map(tuple)
-streams = st.builds(EPBS, bits, st.lists(st.integers(0, 1), min_size=1, max_size=8).map(tuple))
+bits = st.text("01", max_size=8)
+streams = st.builds(EPBS, bits, st.text("01", min_size=1, max_size=8))
 
 
 # ---------------------------------------------------------------------------

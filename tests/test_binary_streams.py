@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,14 +21,24 @@ from continuum.binary_streams import (
 )
 from continuum.errors import OutOfRange, ParseError
 
-bits = st.lists(st.integers(0, 1), max_size=8).map(tuple)
-streams = st.builds(EPBS, bits, st.lists(st.integers(0, 1), min_size=1, max_size=8).map(tuple))
+bits = st.text("01", max_size=8)
+streams = st.builds(EPBS, bits, st.text("01", min_size=1, max_size=8))
 
 
 def approx_value(stream, n):
     """Oracle: truncate the expansion at n bits and read it as an integer."""
     expanded = stream.bits(n)
-    return Fraction(int("".join(map(str, expanded)), 2) if expanded else 0, 2**n)
+    return Fraction(int(expanded, 2) if expanded else 0, 2**n)
+
+
+def bits_one_at_a_time(stream, count):
+    """Oracle: the preamble, then the period appended one character at a time."""
+    out = stream.preamble
+    position = 0
+    while len(out) < count:
+        out += stream.period[position % len(stream.period)]
+        position += 1
+    return out[:count]
 
 
 def canonicalize_bit_by_bit(stream):
@@ -48,7 +59,7 @@ def long_division(numerator, denominator):
     """Oracle: binary digits of a proper fraction, with the cycle start position.
 
     Digits repeat from ``start`` onward; a terminating expansion shows up
-    as the cycle ``[0]``.
+    as the cycle ``"0"``.
     """
     seen = {}
     digits = []
@@ -56,22 +67,22 @@ def long_division(numerator, denominator):
     while remainder not in seen:
         seen[remainder] = len(digits)
         remainder *= 2
-        digits.append(remainder // denominator)
+        digits.append(str(remainder // denominator))
         remainder %= denominator
-    return digits, seen[remainder]
+    return "".join(digits), seen[remainder]
 
 
 def expansions_by_long_division(q):
     """Oracle for ``expansions_of``: the digits of q, read off long division."""
     if q == 0:
-        return [EPBS((), (0,))]
+        return [EPBS("", "0")]
     if q == 1:
-        return [EPBS((), (1,))]
+        return [EPBS("", "1")]
     digits, start = long_division(q.numerator, q.denominator)
-    if digits[start:] == [0]:
-        finite = tuple(digits[:start])
-        return [EPBS(finite, (0,)), EPBS(finite[:-1] + (0,), (1,))]
-    return [EPBS(tuple(digits[:start]), tuple(digits[start:]))]
+    if digits[start:] == "0":
+        finite = digits[:start]
+        return [EPBS(finite, "0"), EPBS(finite[:-1] + "0", "1")]
+    return [EPBS(digits[:start], digits[start:])]
 
 
 def count_primitive_words(length):
@@ -106,10 +117,10 @@ def count_canonical(mu):
 @pytest.mark.parametrize(
     "text, pre, per",
     [
-        ("011(0)", (0, 1, 1), (0,)),
-        ("(01)", (), (0, 1)),
-        ("1(0)", (1,), (0,)),
-        ("(1)", (), (1,)),
+        ("011(0)", "011", "0"),
+        ("(01)", "", "01"),
+        ("1(0)", "1", "0"),
+        ("(1)", "", "1"),
     ],
 )
 def test_parse_stream(text, pre, per):
@@ -147,6 +158,22 @@ def test_epbs_validation():
         EPBS((0,), ())
     with pytest.raises(ValueError):
         EPBS((2,), (0,))
+    with pytest.raises(ValueError, match="period must be nonempty"):
+        EPBS("0", "")
+    # Anything but a string is rejected, not converted: the old tuple format too.
+    for preamble, period, named in (((0,), (1,), "(0,)"), ([], "0", "[]"), ("0", ["1"], "['1']")):
+        with pytest.raises(ValueError, match=re.escape(f"got {named}")):
+            EPBS(preamble, period)
+    # ``int(text, 2)`` would accept some of these; the message names the first bad character.
+    for preamble, period, bad in (
+        ("2", "0", "2"),
+        ("0_1", "0", "_"),
+        (" 1", "0", " "),
+        ("١", "0", "١"),
+        ("01", "0x1y", "x"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            EPBS(preamble, period)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +220,8 @@ def test_canonicalize_absorbs_long_preambles(absorbed):
     # A 200-bit period whose backward continuation fills the last
     # ``absorbed`` bits of a 1000-bit preamble.
     rng = random.Random(absorbed)
-    period = tuple(rng.getrandbits(1) for _ in range(200))
-    head = tuple(rng.getrandbits(1) for _ in range(1000 - absorbed))
+    period = "".join(str(rng.getrandbits(1)) for _ in range(200))
+    head = "".join(str(rng.getrandbits(1)) for _ in range(1000 - absorbed))
     repeated = period * (absorbed // 200 + 1)
     tail = repeated[len(repeated) - absorbed :]
     for stream in (EPBS(head + tail, period), EPBS(head + tail, period * 3)):
@@ -209,7 +236,7 @@ def test_canonical_equality_decides_stream_equality():
     by_prefix = {}
     by_canonical = {}
     for stream in enumerate_streams(7):
-        prefix = tuple(stream.bits(128))
+        prefix = stream.bits(128)
         canonical = canonicalize(stream)
         assert by_prefix.setdefault(prefix, canonical) == canonical
         assert by_canonical.setdefault(canonical, prefix) == prefix
@@ -242,6 +269,12 @@ def test_value_matches_truncation_oracle(stream):
 
 
 @given(streams)
+def test_bits_match_one_at_a_time_oracle(stream):
+    for count in range(41):
+        assert stream.bits(count) == bits_one_at_a_time(stream, count)
+
+
+@given(streams)
 def test_value_in_unit_interval(stream):
     assert 0 <= value(stream) <= 1
 
@@ -270,8 +303,8 @@ def test_dual_points_get_exactly_two_expansions():
             assert len(expansions) == 2
             assert all(value(e) == q for e in expansions)
             trailing_zeros, trailing_ones = expansions
-            assert trailing_zeros.period == (0,)
-            assert trailing_ones.period == (1,)
+            assert trailing_zeros.period == "0"
+            assert trailing_ones.period == "1"
 
 
 def test_everything_else_gets_one_expansion():
@@ -344,7 +377,7 @@ def test_class_split_matches_dual_route():
     universe = enumerate_canonical(8)
     redundant = {e for e in universe if classify_stream(e) is StreamClass.IN_BS}
     trailing_zero_forms = {
-        e for e in universe if e.period == (0,) and e.preamble
+        e for e in universe if e.period == "0" and e.preamble
     }
     assert redundant == {dual_of(t) for t in trailing_zero_forms}
 

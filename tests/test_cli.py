@@ -1,7 +1,11 @@
+import contextlib
 import json
+import re
+import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from continuum.cli import main, run
 
@@ -117,6 +121,37 @@ def test_expand_malformed_rational():
     assert result.diagnostics.startswith("ParseError:")
 
 
+@contextlib.contextmanager
+def _int_digit_limit(digits):
+    # int() of a longer decimal string raises ValueError; interpreters that
+    # predate the limit have no such setting.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no limit on int() digits")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.parametrize("command", ["expand", "classify"])
+@pytest.mark.parametrize(
+    "literal, position",
+    [("1" * 5000 + "/3", 0), ("3/" + "1" * 5000, 2)],
+    ids=["long-numerator", "long-denominator"],
+)
+def test_over_long_integer_is_a_one_line_parse_error(command, literal, position):
+    with _int_digit_limit(4300):
+        result = run([command, literal])
+    assert result.exit_code == 2
+    assert result.output == ""
+    assert result.diagnostics.startswith("ParseError: ")
+    assert result.diagnostics.endswith(f"(at position {position})")
+    assert len(result.diagnostics.splitlines()) == 1
+    assert "1" * 100 not in result.diagnostics  # the literal is not echoed
+
+
 @pytest.mark.parametrize(
     "rational, expected",
     [("3/8", "DualDyadic nu=1 mu=3"), ("0", "Endpoint 0"), ("1", "Endpoint 1"), ("1/3", "OtherRational")],
@@ -227,3 +262,48 @@ def test_main_wiring(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("OutOfRange:")
+
+
+# ---------------------------------------------------------------------------
+# any command line
+# ---------------------------------------------------------------------------
+
+# ``trace`` and ``expand`` take no budget, so every token comes from a small
+# vocabulary that keeps each command fast: bounds up to 6, rationals up to
+# 999/999 and streams of at most 8 bits.
+NUMERAL = "1" * 5000
+SUBCOMMANDS = ("coverings", "laws", "expand", "classify", "stream", "map", "trace")
+FLAGS = ("--exp", "--base", "--budget", "--check", "--a", "--b", "--c", "--mu-max", "--format", "--help")
+CHOICES = (
+    "ADD_EXP", "MUL_EXP", "CURRY", "all", "value", "canon", "member", "dual", "forward", "inverse", "json", "text"
+)
+MALFORMED = ("٣", "٣/٨", "01(", "(0", "()", "2(0)", "1(0)1", "1.5", "-1/2", "", "a,,b", "0_1(0)", " 1")
+tokens = st.one_of(
+    st.sampled_from(SUBCOMMANDS),
+    st.sampled_from(FLAGS),
+    st.sampled_from(CHOICES),
+    st.integers(0, 6).map(str),
+    st.builds("{}/{}".format, st.integers(0, 999), st.integers(0, 999)),
+    st.builds("{}({})".format, st.text("01", max_size=4), st.text("01", min_size=1, max_size=4)),
+    st.sampled_from(MALFORMED),
+    st.just(NUMERAL),
+)
+# Half the command lines start with a subcommand, so that more of them get
+# past argparse to a handler.
+command_lines = st.one_of(
+    st.lists(tokens, max_size=8),
+    st.builds(lambda command, rest: [command, *rest], st.sampled_from(SUBCOMMANDS), st.lists(tokens, max_size=4)),
+)
+DOMAIN_ERROR_LINE = re.compile("(OutOfRange|DisjointnessViolation|DomainViolation|ParseError|BudgetExceeded): .+")
+
+
+@settings(deadline=None)
+@given(command_lines)
+@example(["expand", NUMERAL])
+@example(["classify", NUMERAL])
+def test_run_never_raises_on_any_command_line(argv):
+    result = run(argv)
+    assert result.exit_code in (0, 1, 2)
+    if result.exit_code == 2:
+        assert result.output == ""
+        assert DOMAIN_ERROR_LINE.fullmatch(result.diagnostics)
