@@ -114,14 +114,19 @@ def count_canonical(mu):
 # parsing and formatting
 # ---------------------------------------------------------------------------
 
+PARSE_CASES = [
+    ("011(0)", "011", "0"),
+    ("(01)", "", "01"),
+    ("1(0)", "1", "0"),
+    ("(1)", "", "1"),
+]
+
+
+# The ids keep the case names stable: "<text>-pre<i>-per<i>".
 @pytest.mark.parametrize(
     "text, pre, per",
-    [
-        ("011(0)", "011", "0"),
-        ("(01)", "", "01"),
-        ("1(0)", "1", "0"),
-        ("(1)", "", "1"),
-    ],
+    PARSE_CASES,
+    ids=[f"{text}-pre{i}-per{i}" for i, (text, _, _) in enumerate(PARSE_CASES)],
 )
 def test_parse_stream(text, pre, per):
     stream = parse_stream(text)
