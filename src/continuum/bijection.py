@@ -152,11 +152,15 @@ class DerivationTrace:
 class _Universe:
     """All canonical streams of bounded size, split by class and T-membership.
 
-    ``forward_images`` maps each canonical stream to its forward image,
-    ``inverse_images`` maps every stream to its inverse image, and
-    ``round_trips`` maps every stream to the forward image of its inverse
-    image; each is computed once, with the module's current ``forward``
-    and ``inverse``.
+    ``forward_images`` maps each bounded canonical (B_X) stream to its
+    forward image and ``inverse_images`` maps every bounded stream to its
+    inverse image, each computed once with the module's current
+    ``forward`` and ``inverse``. ``round_trips`` maps every stream to the
+    forward image of its inverse image: read from ``forward_images`` when
+    that image is a bounded B_X stream, and otherwise (an image past the
+    bound, or anything a broken inverse returns outside B_X) from the live
+    ``forward``. The tables hold what those functions return, so a lookup
+    gives the same answer as the call it replaces.
     """
 
     def __init__(self, mu_max: int):
@@ -176,7 +180,12 @@ class _Universe:
     def round_trips(self) -> dict[EPBS, EPBS]:
         # Built by the first step that reads it, so that a broken inverse
         # handing forward a redundant stream fails that step, not the trace.
-        return {e: forward(image) for e, image in self.inverse_images.items()}
+        known = self.forward_images
+        trips = {}
+        for e, image in self.inverse_images.items():
+            trip = known.get(image)
+            trips[e] = trip if trip is not None else forward(image)
+        return trips
 
 
 def _check_partition(u: _Universe) -> bool:
@@ -207,8 +216,8 @@ def _check_parity_split(u: _Universe) -> bool:
 
 
 def _check_union_rewrite(u: _Universe) -> bool:
-    whole = set(u.in_bs) | set(u.in_bx)
-    rewritten = set(u.in_bs) | set(u.chain) | set(u.outside_chain)
+    whole = u.redundant.union(u.in_bx)
+    rewritten = u.redundant.union(u.chain, u.outside_chain)
     return whole == rewritten == set(u.streams)
 
 
@@ -237,8 +246,9 @@ def _check_identity_outside_chain(u: _Universe) -> bool:
 
 
 def _check_combined_map(u: _Universe) -> bool:
-    # Inverse images may be larger than the bound, so the round trips apply
-    # forward to them rather than look them up.
+    # The round trips look forward images up where the inverse image is a
+    # bounded B_X stream and apply the live forward to the rest, which lie
+    # past the bound or, under a broken inverse, outside B_X.
     images = u.forward_images.values()
     if len(set(images)) != len(images):
         return False
@@ -246,9 +256,12 @@ def _check_combined_map(u: _Universe) -> bool:
 
 
 def _check_round_trips(u: _Universe) -> bool:
-    # A broken forward may leave the bound, so inverse is applied live too.
-    if any(inverse(image) != e for e, image in u.forward_images.items()):
-        return False
+    # Forward images inside the bound are looked up; a broken forward may
+    # leave the bound, and the live inverse is applied to those images.
+    for e, image in u.forward_images.items():
+        back = u.inverse_images.get(image)
+        if (back if back is not None else inverse(image)) != e:
+            return False
     return all(
         u.round_trips[e] == e and classify_stream(image) is StreamClass.IN_BX
         for e, image in u.inverse_images.items()

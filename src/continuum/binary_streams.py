@@ -34,7 +34,7 @@ from .dyadic import DualDyadic, classify, ensure_unit_interval
 from .errors import ParseError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EPBS:
     """An eventually periodic bit stream: finite preamble, repeating block.
 
@@ -50,9 +50,9 @@ class EPBS:
         for part in (self.preamble, self.period):
             if not isinstance(part, str):
                 raise ValueError(f"bits must be a string of '0' and '1', got {part!r}")
-            bad = part.strip("01")
-            if bad:
-                raise ValueError(f"bits must be '0' or '1', got {bad[0]!r}")
+        bad = (self.preamble + self.period).strip("01")
+        if bad:
+            raise ValueError(f"bits must be '0' or '1', got {bad[0]!r}")
         if not self.period:
             raise ValueError("period must be nonempty")
 
@@ -167,11 +167,11 @@ def expansions_of(q: Fraction) -> list[EPBS]:
     of X = a * (2^P - 1) / b', split as X div (2^P - 1) and X mod (2^P - 1).
     """
     q = ensure_unit_interval(q)
-    if q == 0:
-        return [EPBS("", "0")]
-    if q == 1:
-        return [EPBS("", "1")]
     numerator, denominator = q.numerator, q.denominator
+    if numerator == 0:
+        return [EPBS("", "0")]
+    if numerator == denominator:
+        return [EPBS("", "1")]
     pre_len = (denominator & -denominator).bit_length() - 1
     odd = denominator >> pre_len
     if odd == 1:
@@ -224,24 +224,41 @@ def enumerate_streams(max_size: int) -> Iterator[EPBS]:
                     yield EPBS(pre, per)
 
 
+def _preorder(max_length: int) -> Iterator[str]:
+    """Every bit string of at most ``max_length`` bits, in increasing order.
+
+    That order is the pre-order of the binary trie, ``"0"`` before ``"1"``:
+    a word comes before its extensions, and each after every shorter prefix.
+    """
+    stack = [""]
+    while stack:
+        word = stack.pop()
+        yield word
+        if len(word) < max_length:
+            stack.extend((word + "1", word + "0"))
+
+
 def enumerate_canonical(max_size: int) -> tuple[EPBS, ...]:
     """Distinct canonical streams of bounded size, in a fixed order.
 
     A canonical stream is a primitive period q after a preamble that is
     empty or ends in the bit opposite to q's last bit, so the pairs are
     generated directly rather than by canonicalizing every raw stream.
+    They come in (size, preamble, period) order without a sort: for each
+    size, the preambles in increasing order and, after each, its periods.
     """
-    words = [
-        word
-        for per_len in range(1, max_size + 1)
-        for word in _words(per_len)
-        if _primitive(word) == word
-    ]
+    primitive = {
+        length: [word for word in _words(length) if _primitive(word) == word]
+        for length in range(1, max_size + 1)
+    }
+    # Periods allowed after a preamble, by the preamble's last bit.
+    closed_by = {
+        bit: {length: [q for q in words if q[-1] != bit] for length, words in primitive.items()}
+        for bit in "01"
+    }
     streams = []
-    for period in words:
-        streams.append(EPBS("", period))
-        closing = "1" if period[-1] == "0" else "0"
-        for pre_len in range(1, max_size - len(period) + 1):
-            for head in _words(pre_len - 1):
-                streams.append(EPBS(head + closing, period))
-    return tuple(sorted(streams, key=lambda e: (e.size, e.preamble, e.period)))
+    for size in range(1, max_size + 1):
+        for preamble in _preorder(size - 1):
+            periods = closed_by[preamble[-1]] if preamble else primitive
+            streams.extend(EPBS(preamble, period) for period in periods[size - len(preamble)])
+    return tuple(streams)

@@ -151,7 +151,15 @@ def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+# Built by the first build_parser call and shared by every later command:
+# parse_args keeps no state in the parser between calls.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    global _PARSER
+    if _PARSER is not None:
+        return _PARSER
     parser = _Parser(prog="continuum", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -192,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--format", choices=("json", "text"), default="text")
     trace.set_defaults(handler=_cmd_trace)
 
+    _PARSER = parser
     return parser
 
 

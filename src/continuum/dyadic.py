@@ -18,6 +18,7 @@ from fractions import Fraction
 from .errors import OutOfRange, ParseError
 
 _RATIONAL_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+_EXCERPT = 20  # characters of a bad literal quoted in a diagnostic
 
 
 @dataclass(frozen=True)
@@ -101,26 +102,33 @@ def _integer(match: re.Match, group: int) -> int:
         raise ParseError(message, position=match.start(group)) from None
 
 
+def _excerpt(text: str) -> str:
+    # A diagnostic quotes at most a short prefix of the input.
+    if len(text) <= _EXCERPT:
+        return repr(text)
+    return f"{text[:_EXCERPT]!r}... ({len(text)} characters)"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` (nonnegative ASCII integers, q > 0)."""
     match = _RATIONAL_RE.fullmatch(text)
     if match is None:
         prefix = _RATIONAL_RE.match(text)
         raise ParseError(
-            f"not a rational literal: {text!r}",
+            f"not a rational literal: {_excerpt(text)}",
             position=prefix.end() if prefix else 0,
         )
     numerator = _integer(match, 1)
     denominator = _integer(match, 2) if match.group(2) is not None else 1
     if denominator == 0:
-        raise ParseError(f"zero denominator in {text!r}", position=match.start(2))
+        raise ParseError(f"zero denominator in {_excerpt(text)}", position=match.start(2))
     return Fraction(numerator, denominator)
 
 
 def ensure_unit_interval(q: Fraction) -> Fraction:
     if not isinstance(q, Fraction):
         q = Fraction(q)
-    if not 0 <= q <= 1:
+    if not 0 <= q.numerator <= q.denominator:
         raise OutOfRange(f"{q} is not in [0, 1]")
     return q
 

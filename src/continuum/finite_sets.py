@@ -234,16 +234,19 @@ def _enumeration_cost(law_id: str, a: int, b: int, c: int) -> int:
     return a**b + (a**b) ** c + c * b + a ** (b * c)
 
 
-def _label_set(coverings: CoveringSet) -> FiniteSet:
+def _label_set(coverings: CoveringSet) -> tuple[FiniteSet, dict[str, str]]:
     # The right-hand side is built first and kept only as labels, so its
-    # Covering objects are freed before the pair loop.
-    return FiniteSet(tuple(cov.label() for cov in coverings))
+    # Covering objects are freed before the pair loop. The dict maps each
+    # label to itself: the pairs look their right labels up in it, so they
+    # hold the strings of the right set, not equal copies.
+    labels = FiniteSet(tuple(cov.label() for cov in coverings))
+    return labels, dict(zip(labels.elements, labels.elements))
 
 
 def _add_exp_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSet, FiniteSet, tuple]:
     # Pairs of coverings (N -> M, P -> M)  <->  coverings of N (+) P with M.
     glued_domain = disjoint_union(n, p)
-    right_set = _label_set(covering_set(glued_domain, m))
+    right_set, shared = _label_set(covering_set(glued_domain, m))
     pm = [(g.label(), g.assignment) for g in covering_set(p, m)]
     left_labels = []
     pairs = []
@@ -253,14 +256,14 @@ def _add_exp_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSe
             left = pair_label(f_label, g_label)
             glued = Covering(glued_domain, m, f.assignment + g_assignment)
             left_labels.append(left)
-            pairs.append((left, glued.label()))
+            pairs.append((left, shared[glued.label()]))
     return FiniteSet(tuple(left_labels)), right_set, tuple(pairs)
 
 
 def _mul_exp_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSet, FiniteSet, tuple]:
     # Pairs of coverings (P -> M, P -> N)  <->  coverings of P with M x N.
     mn = product(m, n)
-    right_set = _label_set(covering_set(p, mn))
+    right_set, shared = _label_set(covering_set(p, mn))
     pn = [(g.label(), g.assignment) for g in covering_set(p, n)]
     left_labels = []
     pairs = []
@@ -272,7 +275,7 @@ def _mul_exp_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSe
                 p, mn, tuple(pair_label(x, y) for x, y in zip(f.assignment, g_assignment))
             )
             left_labels.append(left)
-            pairs.append((left, paired.label()))
+            pairs.append((left, shared[paired.label()]))
     return FiniteSet(tuple(left_labels)), right_set, tuple(pairs)
 
 
@@ -282,7 +285,7 @@ def _curry_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSet,
     by_label = {cov.label(): cov for cov in nm}
     nm_labels = FiniteSet(tuple(by_label))
     pn = product(p, n)
-    right_set = _label_set(covering_set(pn, m))
+    right_set, shared = _label_set(covering_set(pn, m))
     left_labels = []
     pairs = []
     for outer in covering_set(p, nm_labels):
@@ -292,7 +295,7 @@ def _curry_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSet,
         uncurried = Covering(pn, m, flat)
         left = outer.label()
         left_labels.append(left)
-        pairs.append((left, uncurried.label()))
+        pairs.append((left, shared[uncurried.label()]))
     return FiniteSet(tuple(left_labels)), right_set, tuple(pairs)
 
 

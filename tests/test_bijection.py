@@ -224,6 +224,8 @@ TRACE_JSON_SHA256 = {
     7: "d6b33fbf95d2dd8be929939c51697d374c2e758398841988c34bdab7ea7edc58",
     8: "e9ba4d86a9e7bb16891352ea667ba9735b07e1561b1672b00d7b5a9d75ac80e6",
     9: "fac6928b29145c08cea6ac6c367b970c2643b78b5aeb86efbd0144c6280e8105",
+    10: "7ed56df6ee20319ffd88dfb4f36f08b504e020b7ad6c6e33cad9837a6919b05e",
+    11: "133de7086b2e9170ebf1afdd567b97a7728fb489c55ce97622d6d3410b558e19",
 }
 
 
@@ -277,3 +279,37 @@ def test_trace_round_trips_use_the_live_forward(monkeypatch):
     assert bijection._Universe(6).round_trips[wrong_on] == wrong_image
     results = _results(derivation_trace(6))
     assert results[28] == results[29] == results[30] == "fail"
+
+
+def test_trace_round_trips_apply_forward_past_the_bound(monkeypatch):
+    # forward is right on every stream within the bound and wrong past it.
+    # Only inverse images past the bound reach it, through the live fallback.
+    original, bound = bijection.forward, 6
+
+    def forward_wrong_past_the_bound(stream):
+        canonical = canonicalize(stream)
+        return canonical if canonical.size > bound else original(stream)
+
+    monkeypatch.setattr(bijection, "forward", forward_wrong_past_the_bound)
+    universe = bijection._Universe(bound)
+    assert all(image == original(e) for e, image in universe.forward_images.items())
+    results = _results(derivation_trace(bound))
+    assert results[29] == "fail"
+    assert results[28] == results[32] == "pass"
+
+
+def test_trace_round_trips_look_inverse_images_up(monkeypatch):
+    # inverse is wrong on (01), its own forward image; step 30 reads that
+    # image's inverse from the table, so inverse runs once per stream only.
+    original, wrong_on, wrong_image = bijection.inverse, parse_stream("(01)"), parse_stream("(10)")
+    calls = []
+
+    def inverse_wrong_on_one(stream):
+        calls.append(stream)
+        return wrong_image if canonicalize(stream) == wrong_on else original(stream)
+
+    monkeypatch.setattr(bijection, "inverse", inverse_wrong_on_one)
+    assert forward(wrong_on) == wrong_on
+    results = _results(derivation_trace(6))
+    assert results[30] == "fail"
+    assert len(calls) == len(enumerate_canonical(6))

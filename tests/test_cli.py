@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from continuum.cli import main, run
+from continuum.cli import build_parser, main, run
 
 EQ3_WORDS = "000\n001\n010\n011\n100\n101\n110\n111"
 
@@ -248,6 +248,25 @@ def test_usage_errors_exit_1(argv):
 
 def test_help_exits_0():
     assert run(["--help"]).exit_code == 0
+
+
+def test_parser_is_shared_across_usage_errors_and_help(capsys):
+    commands = (
+        ["stream", "value", "011(0)"],
+        ["map", "inverse", "0(1)"],
+        ["expand", "3/8"],
+        ["laws", "--check", "ADD_EXP", "--a", "2", "--b", "2", "--c", "2"],
+        ["trace", "--mu-max", "3"],
+        ["expand", "5/4"],
+    )
+    before = [run(argv) for argv in commands]
+    assert build_parser() is build_parser()
+    assert run(["laws", "--check", "NOT_A_LAW", "--a", "1", "--b", "1", "--c", "1"]).exit_code == 1
+    assert run(["--help"]).exit_code == 0
+    assert run(["trace", "--help"]).exit_code == 0
+    assert run(["stream", "value"]).exit_code == 1
+    capsys.readouterr()
+    assert [run(argv) for argv in commands] == before
 
 
 def test_main_wiring(monkeypatch, capsys):

@@ -49,6 +49,23 @@ def test_parse_rational_rejects_zero_denominator():
         parse_rational("3/0")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3/", "not a rational literal: '3/' (at position 1)"),
+        ("3/0", "zero denominator in '3/0' (at position 2)"),
+        ("1" * 5000 + "x", "not a rational literal: '11111111111111111111'... (5001 characters) (at position 5000)"),
+        # 5000 digits, each integer within the interpreter's limit on int() digits.
+        ("1" * 2500 + "/" + "0" * 2500, "zero denominator in '11111111111111111111'... (5001 characters) (at position 2501)"),
+    ],
+    ids=["short-literal", "short-zero-denominator", "long-literal", "long-zero-denominator"],
+)
+def test_parse_rational_diagnostics_quote_a_short_prefix(text, message):
+    with pytest.raises(ParseError) as caught:
+        parse_rational(text)
+    assert str(caught.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Dyadic type invariants
 # ---------------------------------------------------------------------------
@@ -96,6 +113,15 @@ def test_ensure_unit_interval_keeps_fractions_and_converts_ints():
         assert type(result) is Fraction and result == n
     with pytest.raises(OutOfRange):
         ensure_unit_interval(2)
+
+
+@given(st.fractions())
+def test_ensure_unit_interval_agrees_with_fraction_order(q):
+    if 0 <= q <= 1:
+        assert ensure_unit_interval(q) is q
+    else:
+        with pytest.raises(OutOfRange):
+            ensure_unit_interval(q)
 
 
 def _is_power_of_two(n):

@@ -308,6 +308,14 @@ def test_law_witness_matches_oracle(law_id, a, b, c):
     assert witness.pairs == pairs
 
 
+@pytest.mark.parametrize("law_id, a, b, c", [(law, 2, 2, 2) for law in LAW_IDS] + [("ADD_EXP", 2, 3, 3)])
+def test_pair_right_labels_are_the_right_set_strings(law_id, a, b, c):
+    # Each pair holds the very string stored in right_set, not an equal copy.
+    witness = verify_exponent_law(law_id, a, b, c)
+    stored = {id(label) for label in witness.right_set.elements}
+    assert all(id(right) in stored for _, right in witness.pairs)
+
+
 def test_verify_rejects_a_builder_that_breaks_the_bijection(monkeypatch):
     original = finite_sets._LAW_BUILDERS["ADD_EXP"]
 
