@@ -15,7 +15,8 @@ the canonical form directly.
 
 :func:`derivation_trace` replays the set-algebra chain justifying the
 map as numbered steps. Statements that only involve streams are checked
-exhaustively over all canonical streams of bounded size; statements
+exhaustively over all canonical streams of bounded size, in one pass
+that keeps state only for the streams the map moves; statements
 about the genuinely uncountable or order-theoretic side (the full
 string space, the unit interval, the reals) are recorded symbolically
 and never claimed as checked. The checks are deterministic and
@@ -26,20 +27,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 from .binary_streams import (
     EPBS,
     StreamClass,
     canonicalize,
     classify_stream,
+    count_canonical,
     enumerate_canonical,
     expansions_of,
     value,
 )
 from .dyadic import Dyadic, index_of
-from .errors import DomainViolation
-from .finite_sets import cardinal_pow
+from .errors import BudgetExceeded, DomainViolation
+from .finite_sets import DEFAULT_BUDGET, cardinal_pow
 
 
 def t_enumerate(k: int) -> EPBS:
@@ -149,167 +150,150 @@ class DerivationTrace:
         return json.dumps(self.to_json_doc(), indent=2, sort_keys=True)
 
 
-class _Universe:
-    """All canonical streams of bounded size, split by class and T-membership.
+def _holds(predicate, *args) -> bool:
+    try:
+        return predicate(*args)
+    except DomainViolation:  # a broken map handed forward a redundant stream
+        return False
 
-    ``forward_images`` maps each bounded canonical (B_X) stream to its
-    forward image and ``inverse_images`` maps every bounded stream to its
-    inverse image, each computed once with the module's current
-    ``forward`` and ``inverse``. ``round_trips`` maps every stream to the
-    forward image of its inverse image: read from ``forward_images`` when
-    that image is a bounded B_X stream, and otherwise (an image past the
-    bound, or anything a broken inverse returns outside B_X) from the live
-    ``forward``. The tables hold what those functions return, so a lookup
-    gives the same answer as the call it replaces.
+
+def _absorbs(s: EPBS) -> bool:
+    # t_{2k} -> s_k hits the redundant stream s, value-locked to t_k.
+    k = s_index(s)
+    if k is None:
+        return False
+    even = t_enumerate(2 * k)
+    return forward(even) == s and classify_stream(even) is StreamClass.IN_BX and value(s) == value(t_enumerate(k))
+
+
+def _all_return(moves: dict, back_moves: dict, back) -> bool:
+    # Each moved stream's image maps back to it. The image's own image is
+    # in ``back_moves`` when the map back moves it; otherwise (fixed, past
+    # the bound, or outside the domain of a broken map) ``back`` is called.
+    return all((back_moves[m] if m in back_moves else back(m)) == e for e, m in moves.items())
+
+
+class _Pass:
+    """Steps 21-32 checked in one pass over the canonical streams of bounded size.
+
+    Each stream is classified, expanded and mapped by ``inverse`` once,
+    and each B_X stream indexed in T and mapped by ``forward`` once, with
+    the module's current functions; the verdicts and the set counts in
+    ``sizes`` are updated as the pass goes. The only per-stream state is
+    for the streams the map moves: ``forward_moves`` and
+    ``inverse_moves`` map each to its image. For the true map they hold
+    T and B_S ∪ T, so memory grows with |T|.
+
+    The left inverse (inverse after forward) and the round trip (forward
+    after inverse) of a stream fixed both ways close on the spot; those
+    of moved streams are settled from the two tables after the pass. The
+    left inverse proves forward injective. Inverse is injective when its
+    moved images are distinct and none is a bounded stream it fixes,
+    which a second pass looks for when a moved image is small enough.
     """
 
     def __init__(self, mu_max: int):
-        self.streams = enumerate_canonical(mu_max)
-        self.in_bs, self.in_bx = [], []
-        for e in self.streams:
-            redundant = classify_stream(e) is StreamClass.IN_BS
-            (self.in_bs if redundant else self.in_bx).append(e)
-        self.redundant = set(self.in_bs)
-        self.t_positions = {e: k for e in self.in_bx if (k := t_index(e)) is not None}
-        self.chain = [e for e in self.in_bx if e in self.t_positions]
-        self.outside_chain = [e for e in self.in_bx if e not in self.t_positions]
-        self.forward_images = {e: forward(e) for e in self.in_bx}
-        self.inverse_images = {e: inverse(e) for e in self.streams}
+        self.holds = dict.fromkeys((21, 23, 26, 27, 28), True)
+        self.sizes = dict.fromkeys(("B_S", "T_E", "T_O", "B'_X"), 0)
+        self.forward_moves: dict[EPBS, EPBS] = {}
+        self.inverse_moves: dict[EPBS, EPBS] = {}
+        self.left_inverse = self.round_trips = self.images_in_bx = True
+        streams = enumerate_canonical(mu_max)
+        for e in streams:
+            self._visit(e)
+        self.sizes["B"] = len(streams)
+        self.left_inverse = self.left_inverse and _holds(_all_return, self.forward_moves, self.inverse_moves, inverse)
+        self.round_trips = self.round_trips and _holds(_all_return, self.inverse_moves, self.forward_moves, forward)
+        images = set(self.inverse_moves.values())
+        clashes = {m for m in images if m.size <= mu_max} - self.inverse_moves.keys()
+        self.inverse_injective = len(images) == len(self.inverse_moves) and not (
+            clashes and any(e in clashes for e in streams)
+        )
 
-    @cached_property
-    def round_trips(self) -> dict[EPBS, EPBS]:
-        # Built by the first step that reads it, so that a broken inverse
-        # handing forward a redundant stream fails that step, not the trace.
-        known = self.forward_images
-        trips = {}
-        for e, image in self.inverse_images.items():
-            trip = known.get(image)
-            trips[e] = trip if trip is not None else forward(image)
-        return trips
-
-
-def _check_partition(u: _Universe) -> bool:
-    # Redundant exactly when the value has two expansions and this is the
-    # second one: cross-checks the class split against the expansion route.
-    for e in u.streams:
+    def _visit(self, e: EPBS) -> None:
+        holds, sizes = self.holds, self.sizes
+        redundant = classify_stream(e) is StreamClass.IN_BS
+        # 21: redundant exactly when the value has two expansions and e is
+        # the second: cross-checks the class against the expansion route.
         expansions = expansions_of(value(e))
-        second = len(expansions) == 2 and e == expansions[1]
-        if (e in u.redundant) != second:
-            return False
-    return True
+        if redundant != (len(expansions) == 2 and e == expansions[1]):
+            holds[21] = False
+        image = inverse(e)
+        inverse_fixed = image == e
+        if not inverse_fixed:
+            self.inverse_moves[e] = image
+            if self.images_in_bx and classify_stream(image) is not StreamClass.IN_BX:
+                self.images_in_bx = False
+        if redundant:
+            sizes["B_S"] += 1
+            if holds[26]:
+                holds[26] = _holds(_absorbs, e)
+            if inverse_fixed:  # outside B_X, and outside the domain of forward
+                self.images_in_bx = self.round_trips = False
+            return
+        position = t_index(e)
+        mapped = forward(e)
+        forward_fixed = mapped == e
+        if not forward_fixed:
+            self.forward_moves[e] = mapped
+            if inverse_fixed:  # forward(inverse(e)) is forward(e), not e
+                self.round_trips = False
+        elif not inverse_fixed:  # inverse(forward(e)) is inverse(e), not e
+            self.left_inverse = False
+        if position is None:
+            sizes["B'_X"] += 1
+            if not (forward_fixed and inverse_fixed):
+                holds[28] = False
+            return
+        # 23: indexing round-trips on the T streams found in B_X.
+        sizes["T_O" if position % 2 else "T_E"] += 1
+        if t_enumerate(position) != e:
+            holds[23] = False
+        if holds[27]:
+            holds[27] = _holds(lambda: forward(t_enumerate(2 * position + 1)) == e)
+
+    def verdicts(self) -> dict[int, bool]:
+        sizes = self.sizes
+        chain_split = sizes["T_E"] + sizes["T_O"] + sizes["B'_X"]
+        return {
+            **self.holds,
+            24: chain_split == sizes["B"] - sizes["B_S"],
+            25: sizes["B_S"] + chain_split == sizes["B"],
+            29: self.left_inverse and self.round_trips,
+            30: self.left_inverse and self.round_trips and self.images_in_bx,
+            32: self.left_inverse and self.inverse_injective,
+        }
 
 
-def _check_chain_definition(u: _Universe) -> bool:
-    # T lies inside the canonical class and indexing round-trips.
-    for e, k in u.t_positions.items():
-        if classify_stream(e) is not StreamClass.IN_BX:
-            return False
-        if t_enumerate(k) != e:
-            return False
-    return True
-
-
-def _check_parity_split(u: _Universe) -> bool:
-    evens = {k for k in u.t_positions.values() if k % 2 == 0}
-    odds = {k for k in u.t_positions.values() if k % 2 == 1}
-    return evens.isdisjoint(odds) and evens | odds == set(u.t_positions.values())
-
-
-def _check_union_rewrite(u: _Universe) -> bool:
-    whole = u.redundant.union(u.in_bx)
-    rewritten = u.redundant.union(u.chain, u.outside_chain)
-    return whole == rewritten == set(u.streams)
-
-
-def _check_evens_absorb_redundant(u: _Universe) -> bool:
-    # t_{2k} -> s_k hits every bounded redundant stream, value-locked to t_k.
-    for s in u.in_bs:
-        k = s_index(s)
-        if k is None:
-            return False
-        even = t_enumerate(2 * k)
-        if forward(even) != s:
-            return False
-        if classify_stream(even) is not StreamClass.IN_BX:
-            return False
-        if value(s) != value(t_enumerate(k)):
-            return False
-    return True
-
-
-def _check_odds_reenumerate_chain(u: _Universe) -> bool:
-    return all(forward(t_enumerate(2 * k + 1)) == t for t, k in u.t_positions.items())
-
-
-def _check_identity_outside_chain(u: _Universe) -> bool:
-    return all(u.forward_images[e] == e == u.inverse_images[e] for e in u.outside_chain)
-
-
-def _check_combined_map(u: _Universe) -> bool:
-    # The round trips look forward images up where the inverse image is a
-    # bounded B_X stream and apply the live forward to the rest, which lie
-    # past the bound or, under a broken inverse, outside B_X.
-    images = u.forward_images.values()
-    if len(set(images)) != len(images):
-        return False
-    return all(image == e for e, image in u.round_trips.items())
-
-
-def _check_round_trips(u: _Universe) -> bool:
-    # Forward images inside the bound are looked up; a broken forward may
-    # leave the bound, and the live inverse is applied to those images.
-    for e, image in u.forward_images.items():
-        back = u.inverse_images.get(image)
-        if (back if back is not None else inverse(image)) != e:
-            return False
-    return all(
-        u.round_trips[e] == e and classify_stream(image) is StreamClass.IN_BX
-        for e, image in u.inverse_images.items()
-    )
-
-
-def _check_size_agreement(u: _Universe) -> bool:
-    # Injections both ways at the bounded level.
-    into_universe = set(u.forward_images.values())
-    into_canonical = set(u.inverse_images.values())
-    return len(into_universe) == len(u.in_bx) and len(into_canonical) == len(u.streams)
-
-
-def _check_exponentiation_definition(u: _Universe) -> bool:
-    del u
-    # Finite shadow of "size of the covering-set = base ** exponent".
-    return cardinal_pow(2, 3) == 8 and cardinal_pow(2, 0) == 1
-
-
-# (step, statement, justification, checker, checked up to the bound μ)
+# (step, statement, justification, checked up to the bound μ)
 _STEPS = (
-    (20, "card(B) = 2^ℵ₀", JUSTIFICATION_DEFINITION, _check_exponentiation_definition, False),
-    (21, "B = B_X ∪ B_S", JUSTIFICATION_WITNESSED, _check_partition, True),
-    (22, "B_X ~ X ~ ℝ", JUSTIFICATION_SYMBOLIC, None, False),
-    (23, "B_X = T ∪ B'_X", JUSTIFICATION_DEFINITION, _check_chain_definition, True),
-    (24, "B_X = T_E ∪ T_O ∪ B'_X", JUSTIFICATION_DEFINITION, _check_parity_split, True),
-    (25, "B_S ∪ B_X = B_S ∪ T ∪ B'_X", JUSTIFICATION_DEFINITION, _check_union_rewrite, True),
-    (26, "T_E ~ B_S", JUSTIFICATION_WITNESSED, _check_evens_absorb_redundant, True),
-    (27, "T_O ~ T", JUSTIFICATION_WITNESSED, _check_odds_reenumerate_chain, True),
-    (28, "B'_X ~ B'_X", JUSTIFICATION_WITNESSED, _check_identity_outside_chain, True),
-    (29, "T_E ∪ T_O ∪ B'_X ~ B_S ∪ T ∪ B'_X", JUSTIFICATION_WITNESSED, _check_combined_map, True),
-    (30, "B_X ~ B_S ∪ B_X", JUSTIFICATION_WITNESSED, _check_round_trips, True),
-    (31, "B_X ~ B", JUSTIFICATION_SYMBOLIC, None, False),
-    (32, "card(B_X) = card(B) = 2^ℵ₀", JUSTIFICATION_WITNESSED, _check_size_agreement, True),
-    (33, "card(X) = card(ℝ) = 2^ℵ₀", JUSTIFICATION_SYMBOLIC, None, False),
+    (20, "card(B) = 2^ℵ₀", JUSTIFICATION_DEFINITION, False),
+    (21, "B = B_X ∪ B_S", JUSTIFICATION_WITNESSED, True),
+    (22, "B_X ~ X ~ ℝ", JUSTIFICATION_SYMBOLIC, False),
+    (23, "B_X = T ∪ B'_X", JUSTIFICATION_DEFINITION, True),
+    (24, "B_X = T_E ∪ T_O ∪ B'_X", JUSTIFICATION_DEFINITION, True),
+    (25, "B_S ∪ B_X = B_S ∪ T ∪ B'_X", JUSTIFICATION_DEFINITION, True),
+    (26, "T_E ~ B_S", JUSTIFICATION_WITNESSED, True),
+    (27, "T_O ~ T", JUSTIFICATION_WITNESSED, True),
+    (28, "B'_X ~ B'_X", JUSTIFICATION_WITNESSED, True),
+    (29, "T_E ∪ T_O ∪ B'_X ~ B_S ∪ T ∪ B'_X", JUSTIFICATION_WITNESSED, True),
+    (30, "B_X ~ B_S ∪ B_X", JUSTIFICATION_WITNESSED, True),
+    (31, "B_X ~ B", JUSTIFICATION_SYMBOLIC, False),
+    (32, "card(B_X) = card(B) = 2^ℵ₀", JUSTIFICATION_WITNESSED, True),
+    (33, "card(X) = card(ℝ) = 2^ℵ₀", JUSTIFICATION_SYMBOLIC, False),
 )
 
 
-def _result(checker, universe: _Universe) -> str:
-    if checker is None:
-        return RESULT_NOT_CHECKABLE
-    try:
-        return RESULT_PASS if checker(universe) else RESULT_FAIL
-    except DomainViolation:  # a broken map handed forward a redundant stream
-        return RESULT_FAIL
+def _check_budget(mu_max: int, budget: int) -> None:
+    # |B| > 2^(μ-1), as T alone has 2^(μ-1) - 1 streams, so a bound past
+    # the budget's bit length is refused without counting.
+    size = count_canonical(mu_max) if mu_max <= budget.bit_length() else None
+    if size is None or size > budget:
+        found = size if size is not None else f"more than 2^{mu_max - 1}"
+        raise BudgetExceeded(f"trace up to size {mu_max} would check {found} streams (budget {budget})")
 
 
-def derivation_trace(mu_max: int) -> DerivationTrace:
+def derivation_trace(mu_max: int, budget: int = DEFAULT_BUDGET) -> DerivationTrace:
     """Replay the derivation as one step per numbered statement.
 
     Stream-level statements are checked exhaustively over all canonical
@@ -319,12 +303,21 @@ def derivation_trace(mu_max: int) -> DerivationTrace:
     infinite strings", which holds for the representable fragment by
     construction but is not a finite check; its bounded content is
     already witnessed by step 30.
+
+    Raises :class:`BudgetExceeded` before enumerating anything when the
+    number of streams to check, |B| at ``mu_max``, is over ``budget``.
     """
     if mu_max < 1:
         raise ValueError("mu_max must be >= 1")
-    universe = _Universe(mu_max)
+    _check_budget(mu_max, budget)
+    verdicts = _Pass(mu_max).verdicts()
+    # Finite shadow of "size of the covering-set = base ** exponent".
+    verdicts[20] = cardinal_pow(2, 3) == 8 and cardinal_pow(2, 0) == 1
     steps = []
-    for number, statement, justification, checker, bounded in _STEPS:
-        bound = mu_max if bounded else None
-        steps.append(DerivationStep(number, statement, justification, bound, _result(checker, universe)))
+    for number, statement, justification, bounded in _STEPS:
+        if justification == JUSTIFICATION_SYMBOLIC:
+            result = RESULT_NOT_CHECKABLE
+        else:
+            result = RESULT_PASS if verdicts[number] else RESULT_FAIL
+        steps.append(DerivationStep(number, statement, justification, mu_max if bounded else None, result))
     return DerivationTrace(tuple(steps))

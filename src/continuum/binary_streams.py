@@ -62,6 +62,8 @@ class EPBS:
 
     def bits(self, count: int) -> str:
         """The first ``count`` bits of the infinite expansion."""
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         repeats = max(count - len(self.preamble), 0) // len(self.period) + 1
         return (self.preamble + self.period * repeats)[:count]
 
@@ -262,3 +264,30 @@ def enumerate_canonical(max_size: int) -> tuple[EPBS, ...]:
             periods = closed_by[preamble[-1]] if preamble else primitive
             streams.extend(EPBS(preamble, period) for period in periods[size - len(preamble)])
     return tuple(streams)
+
+
+def _moebius(n: int) -> int:
+    """0 when a square divides n, else (-1) ** (number of prime factors)."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def count_canonical(max_size: int) -> int:
+    """``len(enumerate_canonical(max_size))`` in closed form.
+
+    By Möbius inversion there are P(p) = sum over d | p of
+    moebius(d) * 2^(p/d) primitive periods of p bits. Each follows the
+    empty preamble or one of the 2^(L-1) preambles of L = 1 .. max_size - p
+    bits whose last bit is the opposite of its own: 2^(max_size - p) in all.
+    """
+    return sum(
+        sum(_moebius(d) * 2 ** (p // d) for d in range(1, p + 1) if p % d == 0) << (max_size - p)
+        for p in range(1, max_size + 1)
+    )

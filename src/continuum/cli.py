@@ -123,7 +123,7 @@ def _cmd_map(args) -> str:
 
 
 def _cmd_trace(args) -> str:
-    trace = bijection.derivation_trace(args.mu_max)
+    trace = bijection.derivation_trace(args.mu_max, args.budget)
     if args.format == "json":
         return trace.to_json()
     lines = [
@@ -198,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser("trace", help="replay the derivation with bounded checks")
     trace.add_argument("--mu-max", type=_positive_int, required=True)
     trace.add_argument("--format", choices=("json", "text"), default="text")
+    trace.add_argument("--budget", type=_positive_int, default=finite_sets.DEFAULT_BUDGET)
     trace.set_defaults(handler=_cmd_trace)
 
     _PARSER = parser

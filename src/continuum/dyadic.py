@@ -125,9 +125,16 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(numerator, denominator)
 
 
-def ensure_unit_interval(q: Fraction) -> Fraction:
-    if not isinstance(q, Fraction):
+def ensure_unit_interval(q: Fraction | int) -> Fraction:
+    """q as a ``Fraction`` in [0, 1]; anything but a ``Fraction`` or an int is refused.
+
+    A float is refused rather than converted: ``Fraction(0.1)`` is the
+    binary float nearest 1/10, not 1/10.
+    """
+    if isinstance(q, int):
         q = Fraction(q)
+    elif not isinstance(q, Fraction):
+        raise TypeError(f"expected a Fraction or an int, got {type(q).__name__}")
     if not 0 <= q.numerator <= q.denominator:
         raise OutOfRange(f"{q} is not in [0, 1]")
     return q

@@ -212,6 +212,20 @@ def test_derivation_checks_cover_the_universe():
     assert all(forward(e) == e for e in rest)
 
 
+def test_trace_pass_keeps_state_for_the_moved_streams_only():
+    # Beyond the enumerated tuple, the pass keeps O(|T|) state: forward moves
+    # T and inverse moves B_S ∪ T. Its set counts match the closed forms.
+    mu_max = 10
+    chain = 2 ** (mu_max - 1) - 1
+    state = bijection._Pass(mu_max)
+    containers = [v for v in vars(state).values() if isinstance(v, (dict, set, frozenset, list, tuple))]
+    assert containers and max(len(c) for c in containers) <= 2 * chain
+    assert len(state.forward_moves) == chain and len(state.inverse_moves) == 2 * chain
+    assert state.sizes["B"] == len(enumerate_canonical(mu_max))
+    assert state.sizes["B_S"] == state.sizes["T_E"] + state.sizes["T_O"] == chain
+    assert state.sizes["T_E"] == state.sizes["T_O"] + 1
+
+
 # sha256 of ``trace --mu-max N --format json``, pinned so that any change to
 # the trace's bytes shows up here.
 TRACE_JSON_SHA256 = {
@@ -268,15 +282,15 @@ def test_trace_catches_identity_inverse(monkeypatch):
 
 
 def test_trace_round_trips_use_the_live_forward(monkeypatch):
-    # forward is wrong on (01) alone; the round-trip images shared by steps
-    # 29 and 30 must be built with this forward, not a captured original.
+    # forward is wrong on (01) alone; the forward images that the round trips
+    # of steps 29 and 30 read must come from this forward, not a captured original.
     original, wrong_on, wrong_image = bijection.forward, parse_stream("(01)"), parse_stream("(10)")
 
     def forward_wrong_on_one(stream):
         return wrong_image if canonicalize(stream) == wrong_on else original(stream)
 
     monkeypatch.setattr(bijection, "forward", forward_wrong_on_one)
-    assert bijection._Universe(6).round_trips[wrong_on] == wrong_image
+    assert bijection._Pass(6).forward_moves[wrong_on] == wrong_image
     results = _results(derivation_trace(6))
     assert results[28] == results[29] == results[30] == "fail"
 
@@ -291,8 +305,9 @@ def test_trace_round_trips_apply_forward_past_the_bound(monkeypatch):
         return canonical if canonical.size > bound else original(stream)
 
     monkeypatch.setattr(bijection, "forward", forward_wrong_past_the_bound)
-    universe = bijection._Universe(bound)
-    assert all(image == original(e) for e, image in universe.forward_images.items())
+    state = bijection._Pass(bound)
+    assert len(state.forward_moves) == 2 ** (bound - 1) - 1  # T, and nothing else
+    assert all(image == original(e) for e, image in state.forward_moves.items())
     results = _results(derivation_trace(bound))
     assert results[29] == "fail"
     assert results[28] == results[32] == "pass"
@@ -313,3 +328,33 @@ def test_trace_round_trips_look_inverse_images_up(monkeypatch):
     results = _results(derivation_trace(6))
     assert results[30] == "fail"
     assert len(calls) == len(enumerate_canonical(6))
+
+
+def test_trace_catches_forward_onto_a_bounded_fixed_point(monkeypatch):
+    # forward sends the chain stream t_0 onto (01), which it also fixes:
+    # two bounded canonical streams share an image, so forward is not injective.
+    original, source, target = bijection.forward, t_enumerate(0), parse_stream("(01)")
+
+    def forward_onto_fixed_point(stream):
+        return target if canonicalize(stream) == source else original(stream)
+
+    monkeypatch.setattr(bijection, "forward", forward_onto_fixed_point)
+    assert forward(target) == target and inverse(target) == target
+    results = _results(derivation_trace(6))
+    assert results[29] == results[32] == "fail"
+
+
+def test_trace_catches_inverse_onto_a_bounded_fixed_point(monkeypatch):
+    # inverse sends t_15 = 00001(0) onto (01), which it also fixes. t_15 is
+    # no forward image inside the bound (t_31 is past it), so the left
+    # inverse still holds and only the clash of inverse images shows it.
+    original, bound = bijection.inverse, 6
+    source, target = parse_stream("00001(0)"), parse_stream("(01)")
+
+    def inverse_onto_fixed_point(stream):
+        return target if canonicalize(stream) == source else original(stream)
+
+    monkeypatch.setattr(bijection, "inverse", inverse_onto_fixed_point)
+    assert source == t_enumerate(15) and t_enumerate(31).size > bound
+    results = _results(derivation_trace(bound))
+    assert results[30] == results[32] == "fail"

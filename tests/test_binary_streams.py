@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from continuum import binary_streams
 from continuum.binary_streams import (
     EPBS,
     StreamClass,
@@ -279,6 +280,12 @@ def test_bits_match_one_at_a_time_oracle(stream):
         assert stream.bits(count) == bits_one_at_a_time(stream, count)
 
 
+def test_bits_refuse_a_negative_count():
+    with pytest.raises(ValueError):
+        EPBS("0110", "10").bits(-3)
+    assert EPBS("0110", "10").bits(0) == ""
+
+
 @given(streams)
 def test_value_in_unit_interval(stream):
     assert 0 <= value(stream) <= 1
@@ -298,6 +305,13 @@ def test_expansions_examples():
 def test_expansions_out_of_range():
     with pytest.raises(OutOfRange):
         expansions_of(Fraction(9, 8))
+
+
+def test_expansions_refuse_a_float():
+    # Fraction(0.1) would be the nearest binary float, with a 56-bit preamble.
+    with pytest.raises(TypeError):
+        expansions_of(0.1)
+    assert expansions_of(Fraction(1, 10)) == [EPBS("0", "0011")]
 
 
 def test_dual_points_get_exactly_two_expansions():
@@ -424,6 +438,11 @@ def test_enumerate_canonical_matches_canonicalized_raw_streams(mu):
 def test_enumerate_canonical_count_closed_form(mu, count):
     assert count_canonical(mu) == count
     assert len(enumerate_canonical(mu)) == count
+
+
+def test_library_closed_form_counts_the_enumeration():
+    for mu in range(1, 13):
+        assert binary_streams.count_canonical(mu) == len(enumerate_canonical(mu)) == count_canonical(mu)
 
 
 def test_enumerate_canonical_is_deterministic_and_unique():

@@ -7,6 +7,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from continuum import bijection, finite_sets
 from continuum.cli import build_parser, main, run
 
 EQ3_WORDS = "000\n001\n010\n011\n100\n101\n110\n111"
@@ -221,6 +222,38 @@ def test_trace_text():
     assert len(result.output.splitlines()) == 15
 
 
+def test_trace_over_default_budget_refused_before_enumerating():
+    start = time.perf_counter()
+    result = run(["trace", "--mu-max", "40"])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert result.output == ""
+    assert result.diagnostics.startswith("BudgetExceeded: ")
+    assert len(result.diagnostics.splitlines()) == 1
+
+
+def test_trace_default_budget_admits_16_and_refuses_18():
+    # |B| is 958 236 at 16 and 4 356 660 at 18; only the refusals are run.
+    bijection._check_budget(16, finite_sets.DEFAULT_BUDGET)
+    refused = run(["trace", "--mu-max", "18"])
+    assert refused.exit_code == 2
+    assert refused.diagnostics == "BudgetExceeded: trace up to size 18 would check 4356660 streams (budget 1000000)"
+    assert run(["trace", "--mu-max", "16", "--budget", "958235"]).exit_code == 2
+
+
+def test_trace_budget_flag_at_the_size_of_b():
+    # |B| = 43 560 canonical streams at size 12.
+    argv = ["trace", "--mu-max", "12"]
+    refused = run(argv + ["--budget", "43559"])
+    assert refused.exit_code == 2
+    assert refused.output == ""
+    assert refused.diagnostics.startswith("BudgetExceeded: ")
+    admitted = run(argv + ["--budget", "43560"])
+    assert admitted.exit_code == 0
+    assert admitted.output.endswith("verdict: pass")
+    assert run(argv + ["--budget", "0"]).exit_code == 1
+
+
 # ---------------------------------------------------------------------------
 # exit codes and wiring
 # ---------------------------------------------------------------------------
@@ -287,9 +320,10 @@ def test_main_wiring(monkeypatch, capsys):
 # any command line
 # ---------------------------------------------------------------------------
 
-# ``trace`` and ``expand`` take no budget, so every token comes from a small
-# vocabulary that keeps each command fast: bounds up to 6, rationals up to
-# 999/999 and streams of at most 8 bits.
+# ``expand`` takes no budget and ``trace``'s default admits bounds that run
+# for many seconds, so every token comes from a small vocabulary that keeps
+# each command fast: bounds up to 6, rationals up to 999/999 and streams of
+# at most 8 bits.
 NUMERAL = "1" * 5000
 SUBCOMMANDS = ("coverings", "laws", "expand", "classify", "stream", "map", "trace")
 FLAGS = ("--exp", "--base", "--budget", "--check", "--a", "--b", "--c", "--mu-max", "--format", "--help")

@@ -115,6 +115,18 @@ def test_ensure_unit_interval_keeps_fractions_and_converts_ints():
         ensure_unit_interval(2)
 
 
+@pytest.mark.parametrize("q", [0.1, 0.5, 1.0, "1/2", None])
+def test_ensure_unit_interval_refuses_anything_but_fractions_and_ints(q):
+    with pytest.raises(TypeError):
+        ensure_unit_interval(q)
+
+
+def test_classify_refuses_a_float():
+    with pytest.raises(TypeError):
+        classify(0.1)
+    assert classify(Fraction(1, 10)) == OtherRational()
+
+
 @given(st.fractions())
 def test_ensure_unit_interval_agrees_with_fraction_order(q):
     if 0 <= q <= 1:
