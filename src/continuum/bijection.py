@@ -42,6 +42,8 @@ from .dyadic import Dyadic, index_of
 from .errors import BudgetExceeded, DomainViolation
 from .finite_sets import DEFAULT_BUDGET, cardinal_pow
 
+_IN_BS, _IN_BX = StreamClass.IN_BS, StreamClass.IN_BX
+
 
 def t_enumerate(k: int) -> EPBS:
     """k-th element of T: trailing-zeros form of the k-th dyadic point."""
@@ -55,9 +57,8 @@ def s_enumerate(k: int) -> EPBS:
     return EPBS(format(point.numerator - 1, f"0{point.exponent}b"), "1")
 
 
-def _dyadic_index(stream: EPBS, tail: str) -> int | None:
+def _dyadic_index(canonical: EPBS, tail: str) -> int | None:
     # ``w(tail)`` with w nonempty expands the dyadic point (int(w) + tail) / 2^|w|.
-    canonical = canonicalize(stream)
     if canonical.period != tail or not canonical.preamble:
         return None
     numerator = int(canonical.preamble, 2) + int(tail)
@@ -66,12 +67,12 @@ def _dyadic_index(stream: EPBS, tail: str) -> int | None:
 
 def t_index(stream: EPBS) -> int | None:
     """Index of a canonical stream in T, or None when it is outside T."""
-    return _dyadic_index(stream, "0")
+    return _dyadic_index(canonicalize(stream), "0")
 
 
 def s_index(stream: EPBS) -> int | None:
     """Index k with ``stream == s_k``, or None if the stream is canonical."""
-    return _dyadic_index(stream, "1")
+    return _dyadic_index(canonicalize(stream), "1")
 
 
 def forward(stream: EPBS) -> EPBS:
@@ -82,7 +83,7 @@ def forward(stream: EPBS) -> EPBS:
     canonical.
     """
     canonical = canonicalize(stream)
-    if classify_stream(canonical) is StreamClass.IN_BS:
+    if classify_stream(canonical) is _IN_BS:
         raise DomainViolation(f"{canonical} is a redundant stream, outside the domain")
     position = t_index(canonical)
     if position is None:
@@ -98,10 +99,10 @@ def inverse(stream: EPBS) -> EPBS:
     output is always canonical and never redundant.
     """
     canonical = canonicalize(stream)
-    redundant = s_index(canonical)
+    redundant = _dyadic_index(canonical, "1")
     if redundant is not None:
         return t_enumerate(2 * redundant)
-    position = t_index(canonical)
+    position = _dyadic_index(canonical, "0")
     if position is not None:
         return t_enumerate(2 * position + 1)
     return canonical
@@ -163,7 +164,7 @@ def _absorbs(s: EPBS) -> bool:
     if k is None:
         return False
     even = t_enumerate(2 * k)
-    return forward(even) == s and classify_stream(even) is StreamClass.IN_BX and value(s) == value(t_enumerate(k))
+    return forward(even) == s and classify_stream(even) is _IN_BX and value(s) == value(t_enumerate(k))
 
 
 def _all_return(moves: dict, back_moves: dict, back) -> bool:
@@ -176,13 +177,15 @@ def _all_return(moves: dict, back_moves: dict, back) -> bool:
 class _Pass:
     """Steps 21-32 checked in one pass over the canonical streams of bounded size.
 
-    Each stream is classified, expanded and mapped by ``inverse`` once,
-    and each B_X stream indexed in T and mapped by ``forward`` once, with
-    the module's current functions; the verdicts and the set counts in
-    ``sizes`` are updated as the pass goes. The only per-stream state is
-    for the streams the map moves: ``forward_moves`` and
-    ``inverse_moves`` map each to its image. For the true map they hold
-    T and B_S ∪ T, so memory grows with |T|.
+    The module's ``classify_stream``, ``value``, ``expansions_of``,
+    ``inverse``, ``t_index``, ``forward`` and ``t_enumerate`` are read
+    once, when the pass starts, so a patched function is the one it
+    calls. Each stream is classified, expanded, indexed in T and mapped
+    by ``inverse`` once, and each B_X stream mapped by ``forward`` once;
+    the verdicts and the set counts in ``sizes`` are updated as the pass
+    goes. The only per-stream state is for the streams the map moves:
+    ``forward_moves`` and ``inverse_moves`` map each to its image. For
+    the true map they hold T and B_S ∪ T, so memory grows with |T|.
 
     The left inverse (inverse after forward) and the round trip (forward
     after inverse) of a stream fixed both ways close on the spot; those
@@ -193,72 +196,87 @@ class _Pass:
     """
 
     def __init__(self, mu_max: int):
-        self.holds = dict.fromkeys((21, 23, 26, 27, 28), True)
-        self.sizes = dict.fromkeys(("B_S", "T_E", "T_O", "B'_X"), 0)
-        self.forward_moves: dict[EPBS, EPBS] = {}
-        self.inverse_moves: dict[EPBS, EPBS] = {}
-        self.left_inverse = self.round_trips = self.images_in_bx = True
+        classify, valuate, expand = classify_stream, value, expansions_of
+        shift, unshift, index_in_t, nth_in_t = forward, inverse, t_index, t_enumerate
+        holds21 = holds23 = holds26 = holds27 = holds28 = True
+        left_inverse = round_trips = images_in_bx = True
+        redundant_count = rest = 0
+        t_by_parity = [0, 0]  # |T_E|, |T_O|
+        forward_moves: dict[EPBS, EPBS] = {}
+        inverse_moves: dict[EPBS, EPBS] = {}
         streams = enumerate_canonical(mu_max)
         for e in streams:
-            self._visit(e)
-        self.sizes["B"] = len(streams)
-        self.left_inverse = self.left_inverse and _holds(_all_return, self.forward_moves, self.inverse_moves, inverse)
-        self.round_trips = self.round_trips and _holds(_all_return, self.inverse_moves, self.forward_moves, forward)
-        images = set(self.inverse_moves.values())
-        clashes = {m for m in images if m.size <= mu_max} - self.inverse_moves.keys()
-        self.inverse_injective = len(images) == len(self.inverse_moves) and not (
+            redundant = classify(e) is _IN_BS
+            expansions = expand(valuate(e))
+            position = index_in_t(e)
+            image = unshift(e)
+            inverse_fixed = image is e or image == e
+            if not inverse_fixed:
+                inverse_moves[e] = image
+                if images_in_bx and classify(image) is not _IN_BX:
+                    images_in_bx = False
+            if redundant:
+                redundant_count += 1
+                # 21: a redundant stream is the second of its value's two expansions.
+                if len(expansions) != 2 or expansions[1] != e:
+                    holds21 = False
+                # 23: T lies inside B_X, so no redundant stream has an index in it.
+                if position is not None:
+                    holds23 = False
+                if holds26:
+                    holds26 = _holds(_absorbs, e)
+                if inverse_fixed:  # outside B_X, and outside the domain of forward
+                    images_in_bx = round_trips = False
+                continue
+            # 21: any other stream is the first expansion of its value.
+            if not expansions or expansions[0] != e:
+                holds21 = False
+            mapped = shift(e)
+            forward_fixed = mapped is e or mapped == e
+            if not forward_fixed:
+                forward_moves[e] = mapped
+                if inverse_fixed:  # forward(inverse(e)) is forward(e), not e
+                    round_trips = False
+            elif not inverse_fixed:  # inverse(forward(e)) is inverse(e), not e
+                left_inverse = False
+            if position is None:
+                rest += 1
+                if not (forward_fixed and inverse_fixed):
+                    holds28 = False
+                continue
+            # 23: indexing round-trips on the T streams found in B_X.
+            t_by_parity[position % 2] += 1
+            if nth_in_t(position) != e:
+                holds23 = False
+            if holds27:
+                holds27 = _holds(lambda: shift(nth_in_t(2 * position + 1)) == e)
+        self.mu_max = mu_max
+        self.holds = {21: holds21, 23: holds23, 26: holds26, 27: holds27, 28: holds28}
+        t_even, t_odd = t_by_parity
+        self.sizes = {"B": len(streams), "B_S": redundant_count, "T_E": t_even, "T_O": t_odd, "B'_X": rest}
+        self.forward_moves, self.inverse_moves = forward_moves, inverse_moves
+        self.images_in_bx = images_in_bx
+        self.left_inverse = left_inverse and _holds(_all_return, forward_moves, inverse_moves, unshift)
+        self.round_trips = round_trips and _holds(_all_return, inverse_moves, forward_moves, shift)
+        images = set(inverse_moves.values())
+        clashes = {m for m in images if m.size <= mu_max} - inverse_moves.keys()
+        self.inverse_injective = len(images) == len(inverse_moves) and not (
             clashes and any(e in clashes for e in streams)
         )
 
-    def _visit(self, e: EPBS) -> None:
-        holds, sizes = self.holds, self.sizes
-        redundant = classify_stream(e) is StreamClass.IN_BS
-        # 21: redundant exactly when the value has two expansions and e is
-        # the second: cross-checks the class against the expansion route.
-        expansions = expansions_of(value(e))
-        if redundant != (len(expansions) == 2 and e == expansions[1]):
-            holds[21] = False
-        image = inverse(e)
-        inverse_fixed = image == e
-        if not inverse_fixed:
-            self.inverse_moves[e] = image
-            if self.images_in_bx and classify_stream(image) is not StreamClass.IN_BX:
-                self.images_in_bx = False
-        if redundant:
-            sizes["B_S"] += 1
-            if holds[26]:
-                holds[26] = _holds(_absorbs, e)
-            if inverse_fixed:  # outside B_X, and outside the domain of forward
-                self.images_in_bx = self.round_trips = False
-            return
-        position = t_index(e)
-        mapped = forward(e)
-        forward_fixed = mapped == e
-        if not forward_fixed:
-            self.forward_moves[e] = mapped
-            if inverse_fixed:  # forward(inverse(e)) is forward(e), not e
-                self.round_trips = False
-        elif not inverse_fixed:  # inverse(forward(e)) is inverse(e), not e
-            self.left_inverse = False
-        if position is None:
-            sizes["B'_X"] += 1
-            if not (forward_fixed and inverse_fixed):
-                holds[28] = False
-            return
-        # 23: indexing round-trips on the T streams found in B_X.
-        sizes["T_O" if position % 2 else "T_E"] += 1
-        if t_enumerate(position) != e:
-            holds[23] = False
-        if holds[27]:
-            holds[27] = _holds(lambda: forward(t_enumerate(2 * position + 1)) == e)
-
     def verdicts(self) -> dict[int, bool]:
         sizes = self.sizes
-        chain_split = sizes["T_E"] + sizes["T_O"] + sizes["B'_X"]
+        # |T| = |B_S|: a nonempty word of fewer than μ bits, ending in 1
+        # before (0) or in 0 before (1), so 2^(μ-1) - 1 of each.
+        chain = 2 ** (self.mu_max - 1) - 1
+        in_chain = sizes["T_E"] + sizes["T_O"]
+        chain_split = in_chain + sizes["B'_X"]
         return {
             **self.holds,
-            24: chain_split == sizes["B"] - sizes["B_S"],
-            25: sizes["B_S"] + chain_split == sizes["B"],
+            24: chain_split == sizes["B"] - sizes["B_S"] and in_chain == chain,
+            25: sizes["B"] == count_canonical(self.mu_max)
+            and sizes["B_S"] == in_chain == chain
+            and sizes["B_S"] + chain_split == sizes["B"],
             29: self.left_inverse and self.round_trips,
             30: self.left_inverse and self.round_trips and self.images_in_bx,
             32: self.left_inverse and self.inverse_injective,

@@ -25,7 +25,7 @@ Class split of the stream universe:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator
@@ -39,10 +39,13 @@ class EPBS:
     """An eventually periodic bit stream: finite preamble, repeating block.
 
     Both parts are strings of the characters ``"0"`` and ``"1"``.
+    ``_canonical`` is set by :func:`canonicalize` on the streams it returns
+    and takes no part in equality, hashing or the repr.
     """
 
     preamble: str
     period: str
+    _canonical: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # This check is what makes ``int(part, 2)`` safe: ``int`` would
@@ -55,6 +58,9 @@ class EPBS:
             raise ValueError(f"bits must be '0' or '1', got {bad[0]!r}")
         if not self.period:
             raise ValueError("period must be nonempty")
+        # Set here rather than as a field default: Python 3.10.0 leaves a
+        # slots dataclass's ``init=False`` default unset.
+        object.__setattr__(self, "_canonical", False)
 
     @property
     def size(self) -> int:
@@ -128,8 +134,11 @@ def canonicalize(stream: EPBS) -> EPBS:
     equal to the period's last bit are absorbed by rotating the period,
     all of them in one slice and one rotation. Two streams are
     bit-for-bit equal iff their canonical forms are structurally equal.
-    A stream that is already canonical is returned itself, not a copy.
+    A stream that is already canonical is returned itself, not a copy,
+    and one returned here before costs one attribute read.
     """
+    if stream._canonical:
+        return stream
     preamble = stream.preamble
     period = _primitive(stream.period)
     if preamble and preamble[-1] == period[-1]:
@@ -137,9 +146,10 @@ def canonicalize(stream: EPBS) -> EPBS:
         preamble = preamble[: len(preamble) - absorbed]
         cut = len(period) - absorbed % len(period)
         period = period[cut:] + period[:cut]
-    if preamble == stream.preamble and period == stream.period:
-        return stream
-    return EPBS(preamble, period)
+    if preamble != stream.preamble or period != stream.period:
+        stream = EPBS(preamble, period)
+    object.__setattr__(stream, "_canonical", True)
+    return stream
 
 
 def value(stream: EPBS) -> Fraction:

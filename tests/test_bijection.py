@@ -358,3 +358,41 @@ def test_trace_catches_inverse_onto_a_bounded_fixed_point(monkeypatch):
     assert source == t_enumerate(15) and t_enumerate(31).size > bound
     results = _results(derivation_trace(bound))
     assert results[30] == results[32] == "fail"
+
+
+def _failed(trace):
+    return [step.step for step in trace.steps if step.result == "fail"]
+
+
+def test_trace_checks_every_stream_is_its_own_expansion(monkeypatch):
+    # expansions_of gives (0) for every value that is not dyadic. No stream
+    # is then the second expansion of a wrong value, so only checking every
+    # stream against its own place among the expansions finds it.
+    original = bijection.expansions_of
+
+    def expansions_wrong_off_the_dyadics(q):
+        return original(q) if q.denominator & (q.denominator - 1) == 0 else [EPBS("", "0")]
+
+    monkeypatch.setattr(bijection, "expansions_of", expansions_wrong_off_the_dyadics)
+    assert _failed(derivation_trace(6)) == [21]
+
+
+def test_trace_asks_t_index_about_redundant_streams(monkeypatch):
+    # t_index gives every redundant stream the index 0; forward never asks it
+    # about one, so only step 23's question about B_S finds it.
+    original = bijection.t_index
+
+    def t_index_on_redundant(stream):
+        return 0 if classify_stream(stream) is StreamClass.IN_BS else original(stream)
+
+    monkeypatch.setattr(bijection, "t_index", t_index_on_redundant)
+    assert _failed(derivation_trace(6)) == [23]
+
+
+def test_trace_counts_meet_their_closed_forms(monkeypatch):
+    # With T empty the B_X streams still split into T_E, T_O and B'_X, and B
+    # into B_S and the rest, so 24 and 25 fail only on |T| = 2^(μ-1) - 1.
+    monkeypatch.setattr(bijection, "t_index", lambda stream: None)
+    results = _results(derivation_trace(6))
+    assert results[24] == results[25] == "fail"
+

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -219,6 +221,28 @@ def test_canonicalize_matches_bit_by_bit_oracle(stream):
     assert canonical == canonicalize_bit_by_bit(stream)
     if canonical == stream:
         assert canonical is stream
+
+
+@given(streams)
+def test_canonicalize_flags_its_result(stream):
+    canonical = canonicalize(stream)
+    assert canonical._canonical
+    assert canonical == canonicalize_bit_by_bit(stream)
+    assert canonicalize(canonical) is canonical
+
+
+def test_canonical_flag_is_invisible(monkeypatch):
+    canonical, fresh = canonicalize(EPBS("010", "0")), EPBS("01", "0")
+    assert canonical._canonical and not fresh._canonical
+    assert canonical == fresh and hash(canonical) == hash(fresh)
+    assert repr(canonical) == repr(fresh) == "EPBS(preamble='01', period='0')"
+    assert EPBS.__match_args__ == ("preamble", "period")
+    assert not dataclasses.replace(canonical)._canonical
+    for stream in (canonical, fresh):
+        assert pickle.loads(pickle.dumps(stream)) == stream
+    # A flagged stream is returned before any of the work is done.
+    monkeypatch.setattr(binary_streams, "_primitive", None)
+    assert canonicalize(canonical) is canonical
 
 
 @pytest.mark.parametrize("absorbed", [1, 199, 200, 201, 999, 1000])
