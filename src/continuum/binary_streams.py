@@ -25,6 +25,7 @@ Class split of the stream universe:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -160,12 +161,46 @@ def value(stream: EPBS) -> Fraction:
 
 
 def _order_of_two(modulus: int) -> int:
-    """The multiplicative order of 2 modulo an odd ``modulus`` > 1."""
-    order, residue = 1, 2 % modulus
-    while residue != 1:
+    """The multiplicative order of 2 modulo an odd ``modulus`` > 1.
+
+    A baby-step giant-step search in O(sqrt(modulus)) time and memory,
+    where plain doubling takes up to ``modulus - 1`` steps. With
+    s = isqrt(modulus):
+
+    * Baby steps: double up to s times, so an order <= s costs what
+      plain doubling costs and builds no table.
+    * Giant steps: an order > s makes 2^0 .. 2^s distinct, so they index
+      a table by residue. Block i = 1, 2, ... looks up 2^(-i(s+1)); a hit
+      at 2^j means 2^(i(s+1) + j) = 1. Block i holds the s + 1 exponents
+      from i(s+1), at most one multiple of an order > s, so the first hit
+      is the order. It is below modulus < (s+1)^2: at most s blocks.
+    """
+    stride = math.isqrt(modulus) + 1
+    residue = 1
+    for order in range(1, stride):
         residue = residue * 2 % modulus
-        order += 1
-    return order
+        if residue == 1:
+            return order
+    table = {}
+    residue = 1
+    for exponent in range(stride):
+        table[residue] = exponent
+        residue = residue * 2 % modulus
+    giant = pow(residue, -1, modulus)
+    block, target = 1, giant
+    while target not in table:
+        block, target = block + 1, target * giant % modulus
+    return block * stride + table[target]
+
+
+def period_bound(q: Fraction) -> int:
+    """b' - 1 for reduced q = a/b with b = 2^k * b' and b' odd.
+
+    The period of q's expansion has ord_b'(2) <= b' - 1 bits, so this
+    bounds it before the order is searched; it is 0 for a dyadic q.
+    """
+    denominator = q.denominator
+    return (denominator >> ((denominator & -denominator).bit_length() - 1)) - 1
 
 
 def expansions_of(q: Fraction) -> list[EPBS]:

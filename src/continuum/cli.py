@@ -91,7 +91,12 @@ def _cmd_laws(args) -> str:
 
 
 def _cmd_expand(args) -> str:
-    expansions = binary_streams.expansions_of(dyadic.parse_rational(args.rational))
+    point = dyadic.parse_rational(args.rational)
+    bound = binary_streams.period_bound(point)
+    if bound > args.budget:
+        found = f"= {bound}" if bound.bit_length() <= 64 else f">= 2^{bound.bit_length() - 1}"
+        raise BudgetExceeded(f"expand would search a period of up to b' - 1 {found} bits (budget {args.budget})")
+    expansions = binary_streams.expansions_of(point)
     return "\n".join(str(e) for e in expansions)
 
 
@@ -179,6 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     expand = sub.add_parser("expand", help="binary expansion(s) of a rational in [0,1]")
     expand.add_argument("rational", help='rational literal, e.g. "3/8"')
+    expand.add_argument("--budget", type=_positive_int, default=finite_sets.DEFAULT_BUDGET)
     expand.set_defaults(handler=_cmd_expand)
 
     classify = sub.add_parser("classify", help="classify a rational point of [0,1]")

@@ -388,6 +388,62 @@ def test_expansions_match_long_division_one_over_1000003():
     _assert_expansions_match_long_division(Fraction(1, 1000003))
 
 
+def _order_by_doubling(modulus):
+    # Independent of the library: double until 2^n = 1 (mod modulus).
+    order, residue = 1, 2 % modulus
+    while residue != 1:
+        order, residue = order + 1, residue * 2 % modulus
+    return order
+
+
+def test_order_of_two_matches_doubling_below_2_to_13():
+    for modulus in range(3, 2**13, 2):
+        assert binary_streams._order_of_two(modulus) == _order_by_doubling(modulus), modulus
+
+
+@pytest.fixture
+def giant_steps(monkeypatch):
+    """The moduli the order search took giant steps for.
+
+    Only the giant steps call ``pow``, for the stride's inverse.
+    """
+    moduli = []
+
+    def recorded_pow(base, exponent, modulus):
+        moduli.append(modulus)
+        return pow(base, exponent, modulus)
+
+    monkeypatch.setattr(binary_streams, "pow", recorded_pow, raising=False)
+    return moduli
+
+
+def test_order_of_two_at_the_phase_boundaries(giant_steps):
+    # Found by the last baby step: the order is isqrt(modulus).
+    for modulus in (31, 257, 595, 1985):
+        assert binary_streams._order_of_two(modulus) == _order_by_doubling(modulus) == math.isqrt(modulus)
+    assert giant_steps == []
+    # Found by the first giant step: the order is isqrt(modulus) + 1.
+    for modulus in (3, 7, 15, 51):
+        assert binary_streams._order_of_two(modulus) == _order_by_doubling(modulus) == math.isqrt(modulus) + 1
+    # A multiple of the stride isqrt(modulus) + 1, so the table hit is 2^0.
+    for modulus in (13, 27, 35, 43):
+        order = binary_streams._order_of_two(modulus)
+        assert order == _order_by_doubling(modulus) and order % (math.isqrt(modulus) + 1) == 0
+    assert giant_steps == [3, 7, 15, 51, 13, 27, 35, 43]
+
+
+def test_order_of_two_full_period_prime_above_a_million(giant_steps):
+    assert binary_streams._order_of_two(1000003) == _order_by_doubling(1000003) == 1000002
+    assert giant_steps == [1000003]
+
+
+def test_expansion_of_one_over_a_mersenne_prime(giant_steps):
+    # ord(2) = 521 is far below isqrt(2^521 - 1): the baby steps find it.
+    (expansion,) = expansions_of(Fraction(1, 2**521 - 1))
+    assert expansion == EPBS("", "0" * 520 + "1")
+    assert giant_steps == []
+
+
 def test_expansion_round_trip_exhaustive():
     # Every bounded stream reappears among the expansions of its value.
     for stream in enumerate_streams(10):

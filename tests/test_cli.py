@@ -3,11 +3,12 @@ import json
 import re
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from continuum import bijection, finite_sets
+from continuum import bijection, binary_streams, finite_sets
 from continuum.cli import build_parser, main, run
 
 EQ3_WORDS = "000\n001\n010\n011\n100\n101\n110\n111"
@@ -120,6 +121,36 @@ def test_expand_malformed_rational():
     result = run(["expand", "three/8"])
     assert result.exit_code == 2
     assert result.diagnostics.startswith("ParseError:")
+
+
+def test_expand_over_default_budget_refused_before_the_order_search(monkeypatch):
+    def searched(modulus):
+        raise AssertionError(f"searched the order of 2 modulo {modulus}")
+
+    monkeypatch.setattr(binary_streams, "_order_of_two", searched)
+    for rational in ("1/1000003", "5/2000006", f"1/{1000003 << 40}"):
+        result = run(["expand", rational])
+        assert result.exit_code == 2
+        assert result.output == ""
+        assert result.diagnostics == (
+            "BudgetExceeded: expand would search a period of up to b' - 1 = 1000002 bits (budget 1000000)"
+        )
+    huge = run(["expand", f"1/{3**200}"])
+    assert huge.diagnostics == (
+        "BudgetExceeded: expand would search a period of up to b' - 1 >= 2^316 bits (budget 1000000)"
+    )
+
+
+def test_expand_budget_flag_at_the_period_bound():
+    argv = ["expand", "1/1000003"]
+    assert run(argv + ["--budget", "1000001"]).exit_code == 2
+    admitted = run(argv + ["--budget", "1000002"])
+    assert admitted.exit_code == 0
+    # 2 is a primitive root of the prime 1000003: the period has 1000002 bits.
+    assert re.fullmatch(r"\([01]{1000002}\)", admitted.output)
+    # A dyadic point has no period to search: b' - 1 = 0 fits any budget.
+    assert run(["expand", f"1/{2**40}", "--budget", "1"]).exit_code == 0
+    assert run(argv + ["--budget", "0"]).exit_code == 1
 
 
 @contextlib.contextmanager
@@ -320,15 +351,20 @@ def test_main_wiring(monkeypatch, capsys):
 # any command line
 # ---------------------------------------------------------------------------
 
-# ``expand`` takes no budget and ``trace``'s default admits bounds that run
-# for many seconds, so every token comes from a small vocabulary that keeps
-# each command fast: bounds up to 6, rationals up to 999/999 and streams of
-# at most 8 bits.
+# ``trace``'s default budget admits bounds that run for many seconds, so
+# bounds stay at 6 or below and streams at 8 bits or fewer. ``expand``
+# refuses a period bound b' - 1 over its budget before searching, so
+# rationals in [0, 1] have denominators up to 10^7: the default budget
+# admits those with b' <= 1000001 and refuses the rest.
 NUMERAL = "1" * 5000
 SUBCOMMANDS = ("coverings", "laws", "expand", "classify", "stream", "map", "trace")
 FLAGS = ("--exp", "--base", "--budget", "--check", "--a", "--b", "--c", "--mu-max", "--format", "--help")
 CHOICES = (
     "ADD_EXP", "MUL_EXP", "CURRY", "all", "value", "canon", "member", "dual", "forward", "inverse", "json", "text"
+)
+MERSENNE_61 = f"1/{2**61 - 1}"
+unit_rationals = st.integers(1, 10**7).flatmap(
+    lambda denominator: st.builds("{}/{}".format, st.integers(0, denominator), st.just(denominator))
 )
 MALFORMED = ("٣", "٣/٨", "01(", "(0", "()", "2(0)", "1(0)1", "1.5", "-1/2", "", "a,,b", "0_1(0)", " 1")
 tokens = st.one_of(
@@ -337,6 +373,7 @@ tokens = st.one_of(
     st.sampled_from(CHOICES),
     st.integers(0, 6).map(str),
     st.builds("{}/{}".format, st.integers(0, 999), st.integers(0, 999)),
+    unit_rationals,
     st.builds("{}({})".format, st.text("01", max_size=4), st.text("01", min_size=1, max_size=4)),
     st.sampled_from(MALFORMED),
     st.just(NUMERAL),
@@ -354,9 +391,30 @@ DOMAIN_ERROR_LINE = re.compile("(OutOfRange|DisjointnessViolation|DomainViolatio
 @given(command_lines)
 @example(["expand", NUMERAL])
 @example(["classify", NUMERAL])
+@example(["expand", MERSENNE_61])
 def test_run_never_raises_on_any_command_line(argv):
     result = run(argv)
     assert result.exit_code in (0, 1, 2)
     if result.exit_code == 2:
         assert result.output == ""
         assert DOMAIN_ERROR_LINE.fullmatch(result.diagnostics)
+
+
+@settings(deadline=None)
+@given(unit_rationals)
+@example(MERSENNE_61)
+@example("1/1000001")
+@example("1/1000003")
+def test_expand_admits_a_rational_iff_its_period_bound_fits_the_budget(rational):
+    denominator = Fraction(rational).denominator
+    odd = denominator // (denominator & -denominator)
+    result = run(["expand", rational])
+    if odd - 1 > finite_sets.DEFAULT_BUDGET:
+        assert result.exit_code == 2
+        assert result.output == ""
+        assert result.diagnostics.startswith("BudgetExceeded: ")
+    else:
+        assert result.exit_code == 0
+        for line in result.output.splitlines():
+            period = line[line.index("(") + 1 : -1]
+            assert pow(2, len(period), odd) == 1 % odd  # 2^P = 1 (mod b'); b' = 1 is dyadic
