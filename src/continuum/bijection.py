@@ -48,13 +48,13 @@ _IN_BS, _IN_BX = StreamClass.IN_BS, StreamClass.IN_BX
 def t_enumerate(k: int) -> EPBS:
     """k-th element of T: trailing-zeros form of the k-th dyadic point."""
     point = Dyadic.from_index(k)
-    return EPBS(format(point.numerator, f"0{point.exponent}b"), "0")
+    return EPBS(format(point.numerator, "b").zfill(point.exponent), "0")
 
 
 def s_enumerate(k: int) -> EPBS:
     """k-th redundant stream: trailing-ones form of the k-th dyadic point."""
     point = Dyadic.from_index(k)
-    return EPBS(format(point.numerator - 1, f"0{point.exponent}b"), "1")
+    return EPBS(format(point.numerator - 1, "b").zfill(point.exponent), "1")
 
 
 def _dyadic_index(canonical: EPBS, tail: str) -> int | None:

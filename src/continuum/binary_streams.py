@@ -24,6 +24,7 @@ Class split of the stream universe:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -33,6 +34,8 @@ from typing import Iterator
 
 from .dyadic import DualDyadic, classify, ensure_unit_interval
 from .errors import ParseError
+
+_set = object.__setattr__  # how a frozen dataclass sets its own fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,19 +52,20 @@ class EPBS:
     _canonical: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        preamble, period = self.preamble, self.period
+        if not (isinstance(preamble, str) and isinstance(period, str)):
+            part = period if isinstance(preamble, str) else preamble
+            raise ValueError(f"bits must be a string of '0' and '1', got {part!r}")
         # This check is what makes ``int(part, 2)`` safe: ``int`` would
         # also accept "_", whitespace and non-ASCII digits.
-        for part in (self.preamble, self.period):
-            if not isinstance(part, str):
-                raise ValueError(f"bits must be a string of '0' and '1', got {part!r}")
-        bad = (self.preamble + self.period).strip("01")
+        bad = (preamble + period).strip("01")
         if bad:
             raise ValueError(f"bits must be '0' or '1', got {bad[0]!r}")
-        if not self.period:
+        if not period:
             raise ValueError("period must be nonempty")
         # Set here rather than as a field default: Python 3.10.0 leaves a
         # slots dataclass's ``init=False`` default unset.
-        object.__setattr__(self, "_canonical", False)
+        _set(self, "_canonical", False)
 
     @property
     def size(self) -> int:
@@ -149,7 +153,7 @@ def canonicalize(stream: EPBS) -> EPBS:
         period = period[cut:] + period[:cut]
     if preamble != stream.preamble or period != stream.period:
         stream = EPBS(preamble, period)
-    object.__setattr__(stream, "_canonical", True)
+    _set(stream, "_canonical", True)
     return stream
 
 
@@ -193,6 +197,17 @@ def _order_of_two(modulus: int) -> int:
     return block * stride + table[target]
 
 
+@functools.lru_cache(maxsize=1024)
+def _period_length(modulus: int) -> int:
+    """:func:`_order_of_two`, found once per odd modulus and kept.
+
+    Only the int is kept, never 2^P - 1: for a long period that is a
+    P-bit number per modulus. The trace's tens of thousands of
+    expansions meet only a few dozen moduli.
+    """
+    return _order_of_two(modulus)
+
+
 def period_bound(q: Fraction) -> int:
     """b' - 1 for reduced q = a/b with b = 2^k * b' and b' odd.
 
@@ -224,13 +239,13 @@ def expansions_of(q: Fraction) -> list[EPBS]:
     if odd == 1:
         # A dyadic point: the numerator is odd, so both forms are canonical.
         return [
-            EPBS(format(numerator, f"0{pre_len}b"), "0"),
-            EPBS(format(numerator - 1, f"0{pre_len}b"), "1"),
+            EPBS(format(numerator, "b").zfill(pre_len), "0"),
+            EPBS(format(numerator - 1, "b").zfill(pre_len), "1"),
         ]
-    per_len = _order_of_two(odd)
+    per_len = _period_length(odd)
     cycle = 2**per_len - 1
     head, tail = divmod(numerator * (cycle // odd), cycle)
-    bits = format(head << per_len | tail, f"0{pre_len + per_len}b")
+    bits = format(head << per_len | tail, "b").zfill(pre_len + per_len)
     return [EPBS(bits[:pre_len], bits[pre_len:])]
 
 
@@ -307,7 +322,7 @@ def enumerate_canonical(max_size: int) -> tuple[EPBS, ...]:
     for size in range(1, max_size + 1):
         for preamble in _preorder(size - 1):
             periods = closed_by[preamble[-1]] if preamble else primitive
-            streams.extend(EPBS(preamble, period) for period in periods[size - len(preamble)])
+            streams.extend(map(EPBS, itertools.repeat(preamble), periods[size - len(preamble)]))
     return tuple(streams)
 
 

@@ -131,10 +131,10 @@ def ensure_unit_interval(q: Fraction | int) -> Fraction:
     A float is refused rather than converted: ``Fraction(0.1)`` is the
     binary float nearest 1/10, not 1/10.
     """
-    if isinstance(q, int):
+    if not isinstance(q, Fraction):
+        if not isinstance(q, int):
+            raise TypeError(f"expected a Fraction or an int, got {type(q).__name__}")
         q = Fraction(q)
-    elif not isinstance(q, Fraction):
-        raise TypeError(f"expected a Fraction or an int, got {type(q).__name__}")
     if not 0 <= q.numerator <= q.denominator:
         raise OutOfRange(f"{q} is not in [0, 1]")
     return q

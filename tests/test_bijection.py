@@ -21,6 +21,7 @@ from continuum.binary_streams import (
     StreamClass,
     canonicalize,
     classify_stream,
+    count_canonical,
     enumerate_canonical,
     enumerate_streams,
     expansions_of,
@@ -375,6 +376,21 @@ def test_trace_checks_every_stream_is_its_own_expansion(monkeypatch):
 
     monkeypatch.setattr(bijection, "expansions_of", expansions_wrong_off_the_dyadics)
     assert _failed(derivation_trace(6)) == [21]
+
+
+def test_trace_expands_every_stream_once(monkeypatch):
+    # Step 21 asks expansions_of about each stream's value, with no shortcut
+    # around the oracle, even where the period length is already known.
+    calls = []
+    original = bijection.expansions_of
+
+    def counted(q):
+        calls.append(q)
+        return original(q)
+
+    monkeypatch.setattr(bijection, "expansions_of", counted)
+    assert derivation_trace(8).verdict == "pass"
+    assert len(calls) == count_canonical(8)
 
 
 def test_trace_asks_t_index_about_redundant_streams(monkeypatch):

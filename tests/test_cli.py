@@ -127,6 +127,8 @@ def test_expand_over_default_budget_refused_before_the_order_search(monkeypatch)
     def searched(modulus):
         raise AssertionError(f"searched the order of 2 modulo {modulus}")
 
+    # A remembered period length would answer without the search.
+    binary_streams._period_length.cache_clear()
     monkeypatch.setattr(binary_streams, "_order_of_two", searched)
     for rational in ("1/1000003", "5/2000006", f"1/{1000003 << 40}"):
         result = run(["expand", rational])
