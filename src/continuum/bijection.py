@@ -268,7 +268,7 @@ class _Pass:
         sizes = self.sizes
         # |T| = |B_S|: a nonempty word of fewer than μ bits, ending in 1
         # before (0) or in 0 before (1), so 2^(μ-1) - 1 of each.
-        chain = 2 ** (self.mu_max - 1) - 1
+        chain = (1 << (self.mu_max - 1)) - 1
         in_chain = sizes["T_E"] + sizes["T_O"]
         chain_split = in_chain + sizes["B'_X"]
         return {

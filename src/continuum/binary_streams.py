@@ -32,10 +32,12 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator
 
-from .dyadic import DualDyadic, classify, ensure_unit_interval
+from .dyadic import ensure_unit_interval
 from .errors import ParseError
 
 _set = object.__setattr__  # how a frozen dataclass sets its own fields
+# ``text.translate(_NOT_BITS)`` is ``text`` without its bits, in one pass in C.
+_NOT_BITS = str.maketrans("", "", "01")
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,7 +60,7 @@ class EPBS:
             raise ValueError(f"bits must be a string of '0' and '1', got {part!r}")
         # This check is what makes ``int(part, 2)`` safe: ``int`` would
         # also accept "_", whitespace and non-ASCII digits.
-        bad = (preamble + period).strip("01")
+        bad = (preamble + period).translate(_NOT_BITS)
         if bad:
             raise ValueError(f"bits must be '0' or '1', got {bad[0]!r}")
         if not period:
@@ -92,20 +94,21 @@ def parse_stream(text: str) -> EPBS:
     open_at = text.find("(")
     if open_at < 0:
         raise ParseError("missing '(' in stream literal", position=len(text))
-    for i, ch in enumerate(text[:open_at]):
-        if ch not in "01":
-            raise ParseError(f"invalid preamble character {ch!r}", position=i)
+    preamble = text[:open_at]
+    bad = preamble.translate(_NOT_BITS)
+    if bad:
+        raise ParseError(f"invalid preamble character {bad[0]!r}", position=preamble.find(bad[0]))
     if not text.endswith(")"):
         raise ParseError("missing ')' in stream literal", position=len(text))
     body = text[open_at + 1 : -1]
     if not body:
         raise ParseError("period must be nonempty", position=open_at + 1)
-    for i, ch in enumerate(body):
-        if ch not in "01":
-            raise ParseError(
-                f"invalid period character {ch!r}", position=open_at + 1 + i
-            )
-    return EPBS(text[:open_at], body)
+    bad = body.translate(_NOT_BITS)
+    if bad:
+        raise ParseError(
+            f"invalid period character {bad[0]!r}", position=open_at + 1 + body.find(bad[0])
+        )
+    return EPBS(preamble, body)
 
 
 def format_stream(stream: EPBS) -> str:
@@ -159,7 +162,7 @@ def canonicalize(stream: EPBS) -> EPBS:
 
 def value(stream: EPBS) -> Fraction:
     """Exact value of the stream as digits after the binary point."""
-    cycle = 2 ** len(stream.period) - 1
+    cycle = (1 << len(stream.period)) - 1
     numerator = int(stream.preamble or "0", 2) * cycle + int(stream.period, 2)
     return Fraction(numerator, cycle << len(stream.preamble))
 
@@ -243,7 +246,7 @@ def expansions_of(q: Fraction) -> list[EPBS]:
             EPBS(format(numerator - 1, "b").zfill(pre_len), "1"),
         ]
     per_len = _period_length(odd)
-    cycle = 2**per_len - 1
+    cycle = (1 << per_len) - 1
     head, tail = divmod(numerator * (cycle // odd), cycle)
     bits = format(head << per_len | tail, "b").zfill(pre_len + per_len)
     return [EPBS(bits[:pre_len], bits[pre_len:])]
@@ -262,12 +265,16 @@ def classify_stream(stream: EPBS) -> StreamClass:
 
 
 def dual_of(stream: EPBS) -> EPBS | None:
-    """The other expansion of the same value, if the value is dual-dyadic."""
+    """The other expansion of the same value, if the value is dual-dyadic.
+
+    Decided from the canonical form before any value is computed: only
+    an expansion that ends in all 0s or all 1s has a dyadic value, and an
+    empty preamble before ``(0)`` or ``(1)`` is the endpoint 0 or 1.
+    """
     canonical = canonicalize(stream)
-    point = value(canonical)
-    if not isinstance(classify(point), DualDyadic):
+    if not canonical.preamble or canonical.period not in ("0", "1"):
         return None
-    first, second = expansions_of(point)
+    first, second = expansions_of(value(canonical))
     return second if canonical == first else first
 
 
@@ -348,6 +355,6 @@ def count_canonical(max_size: int) -> int:
     bits whose last bit is the opposite of its own: 2^(max_size - p) in all.
     """
     return sum(
-        sum(_moebius(d) * 2 ** (p // d) for d in range(1, p + 1) if p % d == 0) << (max_size - p)
+        sum(_moebius(d) << (p // d) for d in range(1, p + 1) if p % d == 0) << (max_size - p)
         for p in range(1, max_size + 1)
     )

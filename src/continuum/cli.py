@@ -112,7 +112,14 @@ def _cmd_classify(args) -> str:
 def _cmd_stream(args) -> str:
     stream = binary_streams.parse_stream(args.literal)
     if args.what == "value":
-        return str(binary_streams.value(stream))
+        point = binary_streams.value(stream)
+        try:
+            return str(point)
+        except ValueError:  # more decimal digits than str() may write for an int
+            raise BudgetExceeded(
+                f"stream value has a {point.denominator.bit_length()}-bit denominator, over the "
+                f"interpreter's limit of {sys.get_int_max_str_digits()} decimal digits"
+            ) from None
     if args.what == "canon":
         return str(binary_streams.canonicalize(stream))
     if args.what == "member":

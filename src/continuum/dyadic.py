@@ -36,12 +36,12 @@ class Dyadic:
             raise ValueError("exponent must be >= 1")
         if self.numerator % 2 == 0:
             raise ValueError("numerator must be odd")
-        if not 1 <= self.numerator < 2**self.exponent:
+        if not 1 <= self.numerator < (1 << self.exponent):
             raise ValueError("value must lie strictly between 0 and 1")
 
     @property
     def fraction(self) -> Fraction:
-        return Fraction(self.numerator, 2**self.exponent)
+        return Fraction(self.numerator, 1 << self.exponent)
 
     @property
     def odd_index(self) -> int:
@@ -60,7 +60,7 @@ class Dyadic:
         if k < 0:
             raise ValueError("index must be nonnegative")
         exponent = (k + 1).bit_length()
-        numerator = 2 * (k - (2 ** (exponent - 1) - 1)) + 1
+        numerator = 2 * (k - ((1 << (exponent - 1)) - 1)) + 1
         return cls(numerator, exponent)
 
     def __str__(self) -> str:
@@ -159,4 +159,4 @@ def enumerate_duals(count: int) -> list[Dyadic]:
 
 def index_of(point: Dyadic) -> int:
     """Position of ``point`` in the fixed enumeration (closed form)."""
-    return 2 ** (point.exponent - 1) - 1 + point.odd_index
+    return (1 << (point.exponent - 1)) - 1 + point.odd_index

@@ -22,6 +22,7 @@ from continuum.binary_streams import (
     parse_stream,
     value,
 )
+from continuum.dyadic import DualDyadic, classify
 from continuum.errors import OutOfRange, ParseError
 
 bits = st.text("01", max_size=8)
@@ -182,6 +183,75 @@ def test_epbs_validation():
     ):
         with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
             EPBS(preamble, period)
+
+
+def parse_one_at_a_time(text):
+    """Oracle: the literal's checks a character at a time, in their order.
+
+    Returns the ``(preamble, period)`` of a good literal, or the
+    ``(message, position)`` that ``parse_stream`` must raise.
+    """
+    open_at = text.find("(")
+    if open_at < 0:
+        return "missing '(' in stream literal", len(text)
+    for i, ch in enumerate(text[:open_at]):
+        if ch not in "01":
+            return f"invalid preamble character {ch!r}", i
+    if not text.endswith(")"):
+        return "missing ')' in stream literal", len(text)
+    body = text[open_at + 1 : -1]
+    if not body:
+        return "period must be nonempty", open_at + 1
+    for i, ch in enumerate(body):
+        if ch not in "01":
+            return f"invalid period character {ch!r}", open_at + 1 + i
+    return text[:open_at], body
+
+
+def epbs_error_one_at_a_time(preamble, period):
+    """Oracle: the message ``EPBS`` must raise for two strings, or None."""
+    for ch in preamble + period:
+        if ch not in "01":
+            return f"bits must be '0' or '1', got {ch!r}"
+    return None if period else "period must be nonempty"
+
+
+# Long runs of bits cut by short runs of non-bits, ASCII and not, so the
+# first bad character falls anywhere in up to 10^4 characters.
+NOT_BITS = "2_ \u0661\uff12\x00\u00e9"
+long_bits = st.builds(
+    lambda word, repeats: word * repeats, st.text("01", min_size=1, max_size=8), st.integers(0, 250)
+)
+mixed_runs = st.text(st.sampled_from("01" + NOT_BITS), max_size=8)
+bit_strings = st.lists(st.one_of(long_bits, mixed_runs), max_size=5).map("".join)
+literals = st.lists(st.one_of(long_bits, mixed_runs, st.sampled_from("()")), max_size=8).map(
+    lambda parts: "".join(parts)[: 10**4]
+)
+
+
+@given(literals | st.builds("{}({})".format, bit_strings, bit_strings))
+def test_parse_stream_agrees_with_the_one_at_a_time_oracle(text):
+    expected = parse_one_at_a_time(text)
+    if isinstance(expected[1], str):
+        stream = parse_stream(text)
+        assert (stream.preamble, stream.period) == expected
+        return
+    message, position = expected
+    with pytest.raises(ParseError) as err:
+        parse_stream(text)
+    assert err.value.position == position
+    assert str(err.value) == f"{message} (at position {position})"
+
+
+@given(bit_strings, bit_strings)
+def test_epbs_check_agrees_with_the_one_at_a_time_oracle(preamble, period):
+    expected = epbs_error_one_at_a_time(preamble, period)
+    if expected is None:
+        assert EPBS(preamble, period).period == period
+        return
+    with pytest.raises(ValueError) as err:
+        EPBS(preamble, period)
+    assert str(err.value) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +606,30 @@ def test_dual_of_examples():
     assert dual_of(parse_stream("(01)")) is None
     assert dual_of(parse_stream("(0)")) is None
     assert dual_of(parse_stream("(1)")) is None
+
+
+def dual_by_value(stream):
+    """The value-based route: classify the stream's value, then expand it."""
+    canonical = canonicalize(stream)
+    point = value(canonical)
+    if not isinstance(classify(point), DualDyadic):
+        return None
+    first, second = expansions_of(point)
+    return second if canonical == first else first
+
+
+def test_dual_of_agrees_with_the_value_route():
+    for stream in (*enumerate_canonical(8), *enumerate_streams(6)):
+        assert dual_of(stream) == dual_by_value(stream)
+
+
+def test_dual_of_values_only_dyadic_streams(monkeypatch):
+    def refuse(stream):
+        raise AssertionError(f"value({stream}) computed")
+
+    monkeypatch.setattr(binary_streams, "value", refuse)
+    for text in ("(0)", "(1)", "1(01)", "0(10)", "1" * 1000 + "(" + "01" * 1000 + ")"):
+        assert dual_of(parse_stream(text)) is None
 
 
 def test_dual_of_is_an_involution():

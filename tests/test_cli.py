@@ -1,5 +1,6 @@
 import contextlib
 import json
+import random
 import re
 import sys
 import time
@@ -218,6 +219,30 @@ def test_stream_subcommands(what, literal, expected):
     assert result.output == expected
 
 
+def seeded_bits(seed, count):
+    """``count`` bits drawn from a generator seeded with ``seed``."""
+    return format(random.Random(seed).getrandbits(count), "b").zfill(count) if count else ""
+
+
+# A value whose reduced denominator has more than 4300 decimal digits, the
+# interpreter's default limit on int to str; 14 000 bits stay under it.
+OVER_DIGIT_LIMIT = f"({seeded_bits(1, 14300)})"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int to str")
+def test_stream_value_over_the_digit_limit_is_refused():
+    result = run(["stream", "value", OVER_DIGIT_LIMIT])
+    assert result.exit_code == 2
+    assert result.output == ""
+    assert result.diagnostics.startswith("BudgetExceeded: stream value has a ")
+    assert f"limit of {sys.get_int_max_str_digits()} decimal digits" in result.diagnostics
+    assert "\n" not in result.diagnostics
+    under = f"({seeded_bits(1, 14000)})"
+    result = run(["stream", "value", under])
+    assert result.exit_code == 0
+    assert Fraction(result.output) == binary_streams.value(binary_streams.parse_stream(under))
+
+
 def test_stream_parse_error():
     result = run(["stream", "value", "01("])
     assert result.exit_code == 2
@@ -354,7 +379,9 @@ def test_main_wiring(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 
 # ``trace``'s default budget admits bounds that run for many seconds, so
-# bounds stay at 6 or below and streams at 8 bits or fewer. ``expand``
+# bounds stay at 6 or below. Streams have 8 bits or fewer, or 10^4 to
+# 2 * 10^4 seeded random bits, enough to pass the limit on int to str in
+# ``stream value``. ``expand``
 # refuses a period bound b' - 1 over its budget before searching, so
 # rationals in [0, 1] have denominators up to 10^7: the default budget
 # admits those with b' <= 1000001 and refuses the rest.
@@ -368,6 +395,12 @@ MERSENNE_61 = f"1/{2**61 - 1}"
 unit_rationals = st.integers(1, 10**7).flatmap(
     lambda denominator: st.builds("{}/{}".format, st.integers(0, denominator), st.just(denominator))
 )
+long_literals = st.builds(
+    lambda seed, total, preamble: f"{seeded_bits(seed, preamble)}({seeded_bits(seed + 1, total - preamble)})",
+    st.integers(0, 2**32),
+    st.integers(10**4, 2 * 10**4),
+    st.integers(0, 10**4 - 1),
+)
 MALFORMED = ("٣", "٣/٨", "01(", "(0", "()", "2(0)", "1(0)1", "1.5", "-1/2", "", "a,,b", "0_1(0)", " 1")
 tokens = st.one_of(
     st.sampled_from(SUBCOMMANDS),
@@ -377,6 +410,7 @@ tokens = st.one_of(
     st.builds("{}/{}".format, st.integers(0, 999), st.integers(0, 999)),
     unit_rationals,
     st.builds("{}({})".format, st.text("01", max_size=4), st.text("01", min_size=1, max_size=4)),
+    long_literals,
     st.sampled_from(MALFORMED),
     st.just(NUMERAL),
 )
@@ -394,6 +428,7 @@ DOMAIN_ERROR_LINE = re.compile("(OutOfRange|DisjointnessViolation|DomainViolatio
 @example(["expand", NUMERAL])
 @example(["classify", NUMERAL])
 @example(["expand", MERSENNE_61])
+@example(["stream", "value", OVER_DIGIT_LIMIT])
 def test_run_never_raises_on_any_command_line(argv):
     result = run(argv)
     assert result.exit_code in (0, 1, 2)
