@@ -46,7 +46,6 @@ from .dyadic import (
     OtherRational,
     PointClass,
     classify,
-    enumerate_duals,
     index_of,
     parse_rational,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "disjoint_union",
     "dual_of",
     "enumerate_canonical",
-    "enumerate_duals",
     "enumerate_streams",
     "expansions_of",
     "format_stream",

@@ -26,7 +26,7 @@ order-independent, so replays are reproducible bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .binary_streams import (
     EPBS,
@@ -135,20 +135,8 @@ class DerivationTrace:
         checkable = [s for s in self.steps if s.result != RESULT_NOT_CHECKABLE]
         return RESULT_PASS if all(s.result == RESULT_PASS for s in checkable) else RESULT_FAIL
 
-    def to_json_doc(self) -> list[dict]:
-        return [
-            {
-                "step": s.step,
-                "statement": s.statement,
-                "justification": s.justification,
-                "bound": s.bound,
-                "result": s.result,
-            }
-            for s in self.steps
-        ]
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_doc(), indent=2, sort_keys=True)
+        return json.dumps([asdict(s) for s in self.steps], indent=2, sort_keys=True)
 
 
 def _holds(predicate, *args) -> bool:
@@ -167,6 +155,11 @@ def _absorbs(s: EPBS) -> bool:
     return forward(even) == s and classify_stream(even) is _IN_BX and value(s) == value(t_enumerate(k))
 
 
+# The steps that a broken left inverse (inverse after forward, which also
+# proves forward injective) and a broken round trip (forward after inverse) fail.
+_LEFT_INVERSE, _ROUND_TRIP = (29, 30, 32), (29, 30)
+
+
 def _all_return(moves: dict, back_moves: dict, back) -> bool:
     # Each moved stream's image maps back to it. The image's own image is
     # in ``back_moves`` when the map back moves it; otherwise (fixed, past
@@ -174,113 +167,99 @@ def _all_return(moves: dict, back_moves: dict, back) -> bool:
     return all((back_moves[m] if m in back_moves else back(m)) == e for e, m in moves.items())
 
 
-class _Pass:
+def _check_streams(mu_max: int) -> tuple[set[int], dict[str, int], dict[EPBS, EPBS], dict[EPBS, EPBS]]:
     """Steps 21-32 checked in one pass over the canonical streams of bounded size.
+
+    Returns the numbers of the failed steps, the set counts, and the
+    streams that ``forward`` and ``inverse`` move, each mapped to its image.
 
     The module's ``classify_stream``, ``value``, ``expansions_of``,
     ``inverse``, ``t_index``, ``forward`` and ``t_enumerate`` are read
     once, when the pass starts, so a patched function is the one it
     calls. Each stream is classified, expanded, indexed in T and mapped
-    by ``inverse`` once, and each B_X stream mapped by ``forward`` once;
-    the verdicts and the set counts in ``sizes`` are updated as the pass
-    goes. The only per-stream state is for the streams the map moves:
-    ``forward_moves`` and ``inverse_moves`` map each to its image. For
-    the true map they hold T and B_S ∪ T, so memory grows with |T|.
+    by ``inverse`` once, and each B_X stream mapped by ``forward`` once.
+    The only per-stream state is for the streams the map moves; for the
+    true map those are T and B_S ∪ T, so memory grows with |T|.
 
-    The left inverse (inverse after forward) and the round trip (forward
-    after inverse) of a stream fixed both ways close on the spot; those
-    of moved streams are settled from the two tables after the pass. The
-    left inverse proves forward injective. Inverse is injective when its
-    moved images are distinct and none is a bounded stream it fixes,
-    which a second pass looks for when a moved image is small enough.
+    The left inverse and the round trip of a stream fixed both ways
+    close on the spot; those of moved streams are settled from the two
+    tables after the pass. Inverse is injective when its moved images
+    are distinct and none is a bounded stream it fixes, which a second
+    pass looks for when a moved image is small enough.
     """
-
-    def __init__(self, mu_max: int):
-        classify, valuate, expand = classify_stream, value, expansions_of
-        shift, unshift, index_in_t, nth_in_t = forward, inverse, t_index, t_enumerate
-        holds21 = holds23 = holds26 = holds27 = holds28 = True
-        left_inverse = round_trips = images_in_bx = True
-        redundant_count = rest = 0
-        t_by_parity = [0, 0]  # |T_E|, |T_O|
-        forward_moves: dict[EPBS, EPBS] = {}
-        inverse_moves: dict[EPBS, EPBS] = {}
-        streams = enumerate_canonical(mu_max)
-        for e in streams:
-            redundant = classify(e) is _IN_BS
-            expansions = expand(valuate(e))
-            position = index_in_t(e)
-            image = unshift(e)
-            inverse_fixed = image is e or image == e
-            if not inverse_fixed:
-                inverse_moves[e] = image
-                if images_in_bx and classify(image) is not _IN_BX:
-                    images_in_bx = False
-            if redundant:
-                redundant_count += 1
-                # 21: a redundant stream is the second of its value's two expansions.
-                if len(expansions) != 2 or expansions[1] != e:
-                    holds21 = False
-                # 23: T lies inside B_X, so no redundant stream has an index in it.
-                if position is not None:
-                    holds23 = False
-                if holds26:
-                    holds26 = _holds(_absorbs, e)
-                if inverse_fixed:  # outside B_X, and outside the domain of forward
-                    images_in_bx = round_trips = False
-                continue
-            # 21: any other stream is the first expansion of its value.
-            if not expansions or expansions[0] != e:
-                holds21 = False
-            mapped = shift(e)
-            forward_fixed = mapped is e or mapped == e
-            if not forward_fixed:
-                forward_moves[e] = mapped
-                if inverse_fixed:  # forward(inverse(e)) is forward(e), not e
-                    round_trips = False
-            elif not inverse_fixed:  # inverse(forward(e)) is inverse(e), not e
-                left_inverse = False
-            if position is None:
-                rest += 1
-                if not (forward_fixed and inverse_fixed):
-                    holds28 = False
-                continue
-            # 23: indexing round-trips on the T streams found in B_X.
-            t_by_parity[position % 2] += 1
-            if nth_in_t(position) != e:
-                holds23 = False
-            if holds27:
-                holds27 = _holds(lambda: shift(nth_in_t(2 * position + 1)) == e)
-        self.mu_max = mu_max
-        self.holds = {21: holds21, 23: holds23, 26: holds26, 27: holds27, 28: holds28}
-        t_even, t_odd = t_by_parity
-        self.sizes = {"B": len(streams), "B_S": redundant_count, "T_E": t_even, "T_O": t_odd, "B'_X": rest}
-        self.forward_moves, self.inverse_moves = forward_moves, inverse_moves
-        self.images_in_bx = images_in_bx
-        self.left_inverse = left_inverse and _holds(_all_return, forward_moves, inverse_moves, unshift)
-        self.round_trips = round_trips and _holds(_all_return, inverse_moves, forward_moves, shift)
-        images = set(inverse_moves.values())
-        clashes = {m for m in images if m.size <= mu_max} - inverse_moves.keys()
-        self.inverse_injective = len(images) == len(inverse_moves) and not (
-            clashes and any(e in clashes for e in streams)
-        )
-
-    def verdicts(self) -> dict[int, bool]:
-        sizes = self.sizes
-        # |T| = |B_S|: a nonempty word of fewer than μ bits, ending in 1
-        # before (0) or in 0 before (1), so 2^(μ-1) - 1 of each.
-        chain = (1 << (self.mu_max - 1)) - 1
-        in_chain = sizes["T_E"] + sizes["T_O"]
-        chain_split = in_chain + sizes["B'_X"]
-        return {
-            **self.holds,
-            24: chain_split == sizes["B"] - sizes["B_S"] and in_chain == chain,
-            25: sizes["B"] == count_canonical(self.mu_max)
-            and sizes["B_S"] == in_chain == chain
-            and sizes["B_S"] + chain_split == sizes["B"],
-            29: self.left_inverse and self.round_trips,
-            30: self.left_inverse and self.round_trips and self.images_in_bx,
-            32: self.left_inverse and self.inverse_injective,
-        }
+    classify, valuate, expand = classify_stream, value, expansions_of
+    shift, unshift, index_in_t, nth_in_t = forward, inverse, t_index, t_enumerate
+    failed: set[int] = set()
+    redundant_count = rest = 0
+    t_by_parity = [0, 0]  # |T_E|, |T_O|
+    forward_moves: dict[EPBS, EPBS] = {}
+    inverse_moves: dict[EPBS, EPBS] = {}
+    streams = enumerate_canonical(mu_max)
+    for e in streams:
+        redundant = classify(e) is _IN_BS
+        expansions = expand(valuate(e))
+        position = index_in_t(e)
+        image = unshift(e)
+        inverse_fixed = image is e or image == e
+        if not inverse_fixed:
+            inverse_moves[e] = image
+            if 30 not in failed and classify(image) is not _IN_BX:
+                failed.add(30)
+        if redundant:
+            redundant_count += 1
+            # 21: a redundant stream is the second of its value's two expansions.
+            if len(expansions) != 2 or expansions[1] != e:
+                failed.add(21)
+            # 23: T lies inside B_X, so no redundant stream has an index in it.
+            if position is not None:
+                failed.add(23)
+            if 26 not in failed and not _holds(_absorbs, e):
+                failed.add(26)
+            if inverse_fixed:  # outside B_X, and outside the domain of forward
+                failed.update(_ROUND_TRIP)
+            continue
+        # 21: any other stream is the first expansion of its value.
+        if not expansions or expansions[0] != e:
+            failed.add(21)
+        mapped = shift(e)
+        forward_fixed = mapped is e or mapped == e
+        if not forward_fixed:
+            forward_moves[e] = mapped
+            if inverse_fixed:  # forward(inverse(e)) is forward(e), not e
+                failed.update(_ROUND_TRIP)
+        elif not inverse_fixed:  # inverse(forward(e)) is inverse(e), not e
+            failed.update(_LEFT_INVERSE)
+        if position is None:
+            rest += 1
+            if not (forward_fixed and inverse_fixed):
+                failed.add(28)
+            continue
+        # 23: indexing round-trips on the T streams found in B_X.
+        t_by_parity[position % 2] += 1
+        if nth_in_t(position) != e:
+            failed.add(23)
+        if 27 not in failed and not _holds(lambda: shift(nth_in_t(2 * position + 1)) == e):
+            failed.add(27)
+    if 32 not in failed and not _holds(_all_return, forward_moves, inverse_moves, unshift):
+        failed.update(_LEFT_INVERSE)
+    if 29 not in failed and not _holds(_all_return, inverse_moves, forward_moves, shift):
+        failed.update(_ROUND_TRIP)
+    images = set(inverse_moves.values())
+    clashes = {m for m in images if m.size <= mu_max} - inverse_moves.keys()
+    if len(images) != len(inverse_moves) or (clashes and any(e in clashes for e in streams)):
+        failed.add(32)
+    # Every stream adds to exactly one of |B_S|, |T_E|, |T_O| and |B'_X|, so
+    # steps 24 and 25 compare the counts with closed forms. |T| = |B_S|: a
+    # nonempty word of fewer than μ bits, ending in 1 before (0) or in 0
+    # before (1), so 2^(μ-1) - 1 of each.
+    chain = (1 << (mu_max - 1)) - 1
+    t_even, t_odd = t_by_parity
+    if t_even + t_odd != chain:
+        failed.add(24)
+    if len(streams) != count_canonical(mu_max) or not redundant_count == t_even + t_odd == chain:
+        failed.add(25)
+    sizes = {"B": len(streams), "B_S": redundant_count, "T_E": t_even, "T_O": t_odd, "B'_X": rest}
+    return failed, sizes, forward_moves, inverse_moves
 
 
 # (step, statement, justification, checked up to the bound μ)
@@ -328,14 +307,15 @@ def derivation_trace(mu_max: int, budget: int = DEFAULT_BUDGET) -> DerivationTra
     if mu_max < 1:
         raise ValueError("mu_max must be >= 1")
     _check_budget(mu_max, budget)
-    verdicts = _Pass(mu_max).verdicts()
+    failed = _check_streams(mu_max)[0]
     # Finite shadow of "size of the covering-set = base ** exponent".
-    verdicts[20] = cardinal_pow(2, 3) == 8 and cardinal_pow(2, 0) == 1
+    if cardinal_pow(2, 3) != 8 or cardinal_pow(2, 0) != 1:
+        failed.add(20)
     steps = []
     for number, statement, justification, bounded in _STEPS:
         if justification == JUSTIFICATION_SYMBOLIC:
             result = RESULT_NOT_CHECKABLE
         else:
-            result = RESULT_PASS if verdicts[number] else RESULT_FAIL
+            result = RESULT_FAIL if number in failed else RESULT_PASS
         steps.append(DerivationStep(number, statement, justification, mu_max if bounded else None, result))
     return DerivationTrace(tuple(steps))

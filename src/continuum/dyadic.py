@@ -150,13 +150,6 @@ def classify(q: Fraction) -> PointClass:
     return OtherRational()
 
 
-def enumerate_duals(count: int) -> list[Dyadic]:
-    """The first ``count`` dyadic points in the fixed order."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return [Dyadic.from_index(k) for k in range(count)]
-
-
 def index_of(point: Dyadic) -> int:
     """Position of ``point`` in the fixed enumeration (closed form)."""
     return (1 << (point.exponent - 1)) - 1 + point.odd_index

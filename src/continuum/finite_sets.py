@@ -69,9 +69,6 @@ class Covering:
             value = next(value for value in self.assignment if value not in allowed)
             raise ValueError(f"assigned value {value!r} is not in the codomain")
 
-    def __call__(self, label: str) -> str:
-        return self.assignment[self.domain.elements.index(label)]
-
     def word(self) -> str:
         """The assignment read off as a word, e.g. ``"011"``."""
         return "".join(self.assignment)
@@ -234,69 +231,54 @@ def _enumeration_cost(law_id: str, a: int, b: int, c: int) -> int:
     return a**b + (a**b) ** c + c * b + a ** (b * c)
 
 
-def _label_set(coverings: CoveringSet) -> tuple[FiniteSet, dict[str, str]]:
-    # The right-hand side is built first and kept only as labels, so its
-    # Covering objects are freed before the pair loop. The dict maps each
-    # label to itself: the pairs look their right labels up in it, so they
-    # hold the strings of the right set, not equal copies.
-    labels = FiniteSet(tuple(cov.label() for cov in coverings))
-    return labels, dict(zip(labels.elements, labels.elements))
+def _witness(
+    lefts: Iterable[tuple[str, tuple[str, ...]]], domain: FiniteSet, codomain: FiniteSet
+) -> tuple[FiniteSet, FiniteSet, tuple]:
+    # Each left label is paired with the covering of ``domain`` with
+    # ``codomain`` that its image assignment spells. The right set is built
+    # first and kept only as labels, so its Covering objects are freed
+    # before ``lefts`` is consumed. The dict maps each label to itself:
+    # the pairs look their right labels up in it, so they hold the strings
+    # of the right set, not equal copies.
+    right_set = FiniteSet(tuple(cov.label() for cov in covering_set(domain, codomain)))
+    shared = dict(zip(right_set.elements, right_set.elements))
+    pairs = tuple((left, shared[Covering(domain, codomain, image).label()]) for left, image in lefts)
+    return FiniteSet(tuple(left for left, _ in pairs)), right_set, pairs
+
+
+def _covering_pairs(
+    f_domain: FiniteSet, f_codomain: FiniteSet, g_domain: FiniteSet, g_codomain: FiniteSet
+) -> Iterator[tuple[str, tuple[str, ...], tuple[str, ...]]]:
+    # Pairs (f, g) of coverings, f major, as their label and both assignments;
+    # each f's label is built once. Nothing is enumerated before the first item.
+    gs = [(g.label(), g.assignment) for g in covering_set(g_domain, g_codomain)]
+    for f in covering_set(f_domain, f_codomain):
+        f_label = f.label()
+        for g_label, g_assignment in gs:
+            yield pair_label(f_label, g_label), f.assignment, g_assignment
 
 
 def _add_exp_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSet, FiniteSet, tuple]:
     # Pairs of coverings (N -> M, P -> M)  <->  coverings of N (+) P with M.
-    glued_domain = disjoint_union(n, p)
-    right_set, shared = _label_set(covering_set(glued_domain, m))
-    pm = [(g.label(), g.assignment) for g in covering_set(p, m)]
-    left_labels = []
-    pairs = []
-    for f in covering_set(n, m):
-        f_label = f.label()
-        for g_label, g_assignment in pm:
-            left = pair_label(f_label, g_label)
-            glued = Covering(glued_domain, m, f.assignment + g_assignment)
-            left_labels.append(left)
-            pairs.append((left, shared[glued.label()]))
-    return FiniteSet(tuple(left_labels)), right_set, tuple(pairs)
+    lefts = ((left, f + g) for left, f, g in _covering_pairs(n, m, p, m))
+    return _witness(lefts, disjoint_union(n, p), m)
 
 
 def _mul_exp_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSet, FiniteSet, tuple]:
     # Pairs of coverings (P -> M, P -> N)  <->  coverings of P with M x N.
-    mn = product(m, n)
-    right_set, shared = _label_set(covering_set(p, mn))
-    pn = [(g.label(), g.assignment) for g in covering_set(p, n)]
-    left_labels = []
-    pairs = []
-    for f in covering_set(p, m):
-        f_label = f.label()
-        for g_label, g_assignment in pn:
-            left = pair_label(f_label, g_label)
-            paired = Covering(
-                p, mn, tuple(pair_label(x, y) for x, y in zip(f.assignment, g_assignment))
-            )
-            left_labels.append(left)
-            pairs.append((left, shared[paired.label()]))
-    return FiniteSet(tuple(left_labels)), right_set, tuple(pairs)
+    lefts = ((left, tuple(map(pair_label, f, g))) for left, f, g in _covering_pairs(p, m, p, n))
+    return _witness(lefts, p, product(m, n))
 
 
 def _curry_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSet, FiniteSet, tuple]:
     # Coverings of P with the covering-set (N | M)  <->  coverings of P x N with M.
-    nm = covering_set(n, m)
-    by_label = {cov.label(): cov for cov in nm}
-    nm_labels = FiniteSet(tuple(by_label))
-    pn = product(p, n)
-    right_set, shared = _label_set(covering_set(pn, m))
-    left_labels = []
-    pairs = []
-    for outer in covering_set(p, nm_labels):
-        flat = tuple(
-            itertools.chain.from_iterable(by_label[lab].assignment for lab in outer.assignment)
-        )
-        uncurried = Covering(pn, m, flat)
-        left = outer.label()
-        left_labels.append(left)
-        pairs.append((left, shared[uncurried.label()]))
-    return FiniteSet(tuple(left_labels)), right_set, tuple(pairs)
+    def lefts():
+        by_label = {cov.label(): cov.assignment for cov in covering_set(n, m)}
+        for outer in covering_set(p, FiniteSet(tuple(by_label))):
+            flat = itertools.chain.from_iterable(map(by_label.__getitem__, outer.assignment))
+            yield outer.label(), tuple(flat)
+
+    return _witness(lefts(), product(p, n), m)
 
 
 _LAW_BUILDERS = {

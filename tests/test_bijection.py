@@ -29,7 +29,7 @@ from continuum.binary_streams import (
     value,
 )
 from continuum.cli import run
-from continuum.dyadic import Dyadic, enumerate_duals
+from continuum.dyadic import Dyadic
 from continuum.errors import DomainViolation
 
 bits = st.text("01", max_size=8)
@@ -43,14 +43,14 @@ streams = st.builds(EPBS, bits, st.text("01", min_size=1, max_size=8))
 @pytest.mark.parametrize("k, expected", [(0, "1(0)"), (1, "01(0)"), (8, "0011(0)")])
 def test_t_enumerate_examples(k, expected):
     # Oracle: first expansion of the k-th dyadic point.
-    point = enumerate_duals(k + 1)[k]
+    point = Dyadic.from_index(k)
     assert t_enumerate(k) == expansions_of(point.fraction)[0]
     assert str(t_enumerate(k)) == expected
 
 
 @pytest.mark.parametrize("k, expected", [(0, "0(1)"), (4, "010(1)")])
 def test_s_enumerate_examples(k, expected):
-    point = enumerate_duals(k + 1)[k]
+    point = Dyadic.from_index(k)
     assert s_enumerate(k) == expansions_of(point.fraction)[1]
     assert str(s_enumerate(k)) == expected
 
@@ -218,13 +218,13 @@ def test_trace_pass_keeps_state_for_the_moved_streams_only():
     # T and inverse moves B_S ∪ T. Its set counts match the closed forms.
     mu_max = 10
     chain = 2 ** (mu_max - 1) - 1
-    state = bijection._Pass(mu_max)
-    containers = [v for v in vars(state).values() if isinstance(v, (dict, set, frozenset, list, tuple))]
+    containers = bijection._check_streams(mu_max)
+    failed, sizes, forward_moves, inverse_moves = containers
     assert containers and max(len(c) for c in containers) <= 2 * chain
-    assert len(state.forward_moves) == chain and len(state.inverse_moves) == 2 * chain
-    assert state.sizes["B"] == len(enumerate_canonical(mu_max))
-    assert state.sizes["B_S"] == state.sizes["T_E"] + state.sizes["T_O"] == chain
-    assert state.sizes["T_E"] == state.sizes["T_O"] + 1
+    assert len(forward_moves) == chain and len(inverse_moves) == 2 * chain
+    assert sizes["B"] == len(enumerate_canonical(mu_max))
+    assert sizes["B_S"] == sizes["T_E"] + sizes["T_O"] == chain
+    assert sizes["T_E"] == sizes["T_O"] + 1
 
 
 # sha256 of ``trace --mu-max N --format json``, pinned so that any change to
@@ -291,7 +291,7 @@ def test_trace_round_trips_use_the_live_forward(monkeypatch):
         return wrong_image if canonicalize(stream) == wrong_on else original(stream)
 
     monkeypatch.setattr(bijection, "forward", forward_wrong_on_one)
-    assert bijection._Pass(6).forward_moves[wrong_on] == wrong_image
+    assert bijection._check_streams(6)[2][wrong_on] == wrong_image
     results = _results(derivation_trace(6))
     assert results[28] == results[29] == results[30] == "fail"
 
@@ -306,9 +306,9 @@ def test_trace_round_trips_apply_forward_past_the_bound(monkeypatch):
         return canonical if canonical.size > bound else original(stream)
 
     monkeypatch.setattr(bijection, "forward", forward_wrong_past_the_bound)
-    state = bijection._Pass(bound)
-    assert len(state.forward_moves) == 2 ** (bound - 1) - 1  # T, and nothing else
-    assert all(image == original(e) for e, image in state.forward_moves.items())
+    forward_moves = bijection._check_streams(bound)[2]
+    assert len(forward_moves) == 2 ** (bound - 1) - 1  # T, and nothing else
+    assert all(image == original(e) for e, image in forward_moves.items())
     results = _results(derivation_trace(bound))
     assert results[29] == "fail"
     assert results[28] == results[32] == "pass"

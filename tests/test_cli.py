@@ -395,12 +395,19 @@ MERSENNE_61 = f"1/{2**61 - 1}"
 unit_rationals = st.integers(1, 10**7).flatmap(
     lambda denominator: st.builds("{}/{}".format, st.integers(0, denominator), st.just(denominator))
 )
-long_literals = st.builds(
-    lambda seed, total, preamble: f"{seeded_bits(seed, preamble)}({seeded_bits(seed + 1, total - preamble)})",
-    st.integers(0, 2**32),
-    st.integers(10**4, 2 * 10**4),
-    st.integers(0, 10**4 - 1),
-)
+
+
+def seeded_literal(seed):
+    """A literal of 10^4 to 2 * 10^4 bits with a preamble under 10^4, all drawn from ``seed``."""
+    draw = random.Random(seed)
+    total, preamble = draw.randint(10**4, 2 * 10**4), draw.randrange(10**4)
+    return f"{seeded_bits(seed, preamble)}({seeded_bits(seed + 1, total - preamble)})"
+
+
+# Sizes come from the seed, not from st.integers, so they are uniform: more
+# than half the literals pass the limit on int to str in ``stream value``.
+long_literals = st.integers(0, 2**32).map(seeded_literal)
+short_literals = st.builds("{}({})".format, st.text("01", max_size=4), st.text("01", min_size=1, max_size=4))
 MALFORMED = ("٣", "٣/٨", "01(", "(0", "()", "2(0)", "1(0)1", "1.5", "-1/2", "", "a,,b", "0_1(0)", " 1")
 tokens = st.one_of(
     st.sampled_from(SUBCOMMANDS),
@@ -409,21 +416,31 @@ tokens = st.one_of(
     st.integers(0, 6).map(str),
     st.builds("{}/{}".format, st.integers(0, 999), st.integers(0, 999)),
     unit_rationals,
-    st.builds("{}({})".format, st.text("01", max_size=4), st.text("01", min_size=1, max_size=4)),
+    short_literals,
     long_literals,
     st.sampled_from(MALFORMED),
     st.just(NUMERAL),
 )
-# Half the command lines start with a subcommand, so that more of them get
-# past argparse to a handler.
+# Most command lines start with a subcommand, so that more of them get past
+# argparse to a handler; some are well-formed ``stream`` and ``map`` lines,
+# so that long literals reach every choice of those two.
+STREAM_LINES = (
+    ("stream", "value"), ("stream", "canon"), ("stream", "member"), ("stream", "dual"),
+    ("map", "forward"), ("map", "inverse"),
+)
 command_lines = st.one_of(
     st.lists(tokens, max_size=8),
     st.builds(lambda command, rest: [command, *rest], st.sampled_from(SUBCOMMANDS), st.lists(tokens, max_size=4)),
+    st.builds(
+        lambda line, literal: [*line, literal], st.sampled_from(STREAM_LINES), st.one_of(short_literals, long_literals)
+    ),
 )
 DOMAIN_ERROR_LINE = re.compile("(OutOfRange|DisjointnessViolation|DomainViolation|ParseError|BudgetExceeded): .+")
 
 
-@settings(deadline=None)
+# 300 examples, so that random draws reach an over-limit ``stream value``
+# in nearly every run, not only through the ``@example``.
+@settings(deadline=None, max_examples=300)
 @given(command_lines)
 @example(["expand", NUMERAL])
 @example(["classify", NUMERAL])

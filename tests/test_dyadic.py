@@ -10,11 +10,15 @@ from continuum.dyadic import (
     OtherRational,
     classify,
     ensure_unit_interval,
-    enumerate_duals,
     index_of,
     parse_rational,
 )
 from continuum.errors import OutOfRange, ParseError
+
+
+def enumerate_duals(count):
+    """The first ``count`` dyadic points in the fixed order, by index."""
+    return [Dyadic.from_index(k) for k in range(count)]
 
 
 def brute_force_duals(mu_max):

@@ -146,7 +146,7 @@ def test_covering_set_count_and_distinctness(n_size, m_size):
 def test_covering_lookup_and_validation():
     cs = covering_set(make_set("ab"), make_set("01"))
     cov = cs.coverings[1]
-    assert cov("a") == "0" and cov("b") == "1"
+    assert cov.assignment == ("0", "1")
     with pytest.raises(ValueError):
         Covering(make_set("ab"), make_set("01"), ("0",))
     with pytest.raises(ValueError, match="'2'"):
