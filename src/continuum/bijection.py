@@ -4,8 +4,9 @@ The redundant trailing-ones expansions form a countable family; the
 canonical streams absorb it by a Hilbert-hotel shift along a fixed
 countable chain T inside the canonical class:
 
-* ``t_k``  -- trailing-zeros expansion of the k-th dyadic point,
-* ``s_k``  -- trailing-ones expansion of the same point,
+* ``t_k = w1(0)`` -- trailing-zeros expansion of the k-th dyadic point,
+* ``s_k = w0(1)`` -- trailing-ones expansion of the same point,
+  where w is k + 1 in binary without its leading 1,
 
 and the forward map sends ``t_{2k} -> s_k``, ``t_{2k+1} -> t_k``, and
 fixes every canonical stream outside T. Its inverse is total on the
@@ -38,31 +39,34 @@ from .binary_streams import (
     expansions_of,
     value,
 )
-from .dyadic import Dyadic, index_of
 from .errors import BudgetExceeded, DomainViolation
 from .finite_sets import DEFAULT_BUDGET, cardinal_pow
 
 _IN_BS, _IN_BX = StreamClass.IN_BS, StreamClass.IN_BX
 
 
+def _word(k: int) -> str:
+    # w of t_k and s_k: point int(w) at level |w| + 1, (2 int(w) + 1) / 2^(|w|+1).
+    if k < 0:
+        raise ValueError("index must be nonnegative")
+    return format(k + 1, "b")[1:]
+
+
 def t_enumerate(k: int) -> EPBS:
     """k-th element of T: trailing-zeros form of the k-th dyadic point."""
-    point = Dyadic.from_index(k)
-    return EPBS(format(point.numerator, "b").zfill(point.exponent), "0")
+    return EPBS(_word(k) + "1", "0")
 
 
 def s_enumerate(k: int) -> EPBS:
     """k-th redundant stream: trailing-ones form of the k-th dyadic point."""
-    point = Dyadic.from_index(k)
-    return EPBS(format(point.numerator - 1, "b").zfill(point.exponent), "1")
+    return EPBS(_word(k) + "0", "1")
 
 
 def _dyadic_index(canonical: EPBS, tail: str) -> int | None:
-    # ``w(tail)`` with w nonempty expands the dyadic point (int(w) + tail) / 2^|w|.
+    # A canonical ``w b(tail)`` has b opposite to the tail: t_k or s_k, k + 1 = 1w.
     if canonical.period != tail or not canonical.preamble:
         return None
-    numerator = int(canonical.preamble, 2) + int(tail)
-    return index_of(Dyadic(numerator, len(canonical.preamble)))
+    return int("1" + canonical.preamble[:-1], 2) - 1
 
 
 def t_index(stream: EPBS) -> int | None:

@@ -267,15 +267,15 @@ def classify_stream(stream: EPBS) -> StreamClass:
 def dual_of(stream: EPBS) -> EPBS | None:
     """The other expansion of the same value, if the value is dual-dyadic.
 
-    Decided from the canonical form before any value is computed: only
-    an expansion that ends in all 0s or all 1s has a dyadic value, and an
-    empty preamble before ``(0)`` or ``(1)`` is the endpoint 0 or 1.
+    Read off the canonical form: only an expansion that ends in all 0s or
+    all 1s has a dyadic value, and an empty preamble before ``(0)`` or
+    ``(1)`` is the endpoint 0 or 1. Any other is w1(0) or w0(1), whose
+    duals swap the last preamble bit and the period bit.
     """
     canonical = canonicalize(stream)
     if not canonical.preamble or canonical.period not in ("0", "1"):
         return None
-    first, second = expansions_of(value(canonical))
-    return second if canonical == first else first
+    return EPBS(canonical.preamble[:-1] + canonical.period, canonical.preamble[-1])
 
 
 def _words(length: int) -> Iterator[str]:
@@ -333,28 +333,16 @@ def enumerate_canonical(max_size: int) -> tuple[EPBS, ...]:
     return tuple(streams)
 
 
-def _moebius(n: int) -> int:
-    """0 when a square divides n, else (-1) ** (number of prime factors)."""
-    sign, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            sign = -sign
-        p += 1
-    return -sign if n > 1 else sign
-
-
 def count_canonical(max_size: int) -> int:
-    """``len(enumerate_canonical(max_size))`` in closed form.
+    """``len(enumerate_canonical(max_size))``, counted without enumerating.
 
-    By Möbius inversion there are P(p) = sum over d | p of
-    moebius(d) * 2^(p/d) primitive periods of p bits. Each follows the
-    empty preamble or one of the 2^(L-1) preambles of L = 1 .. max_size - p
+    Each p-bit word repeats exactly one primitive word, whose length d
+    divides p, so there are P(p) = 2^p - sum of P(d) over the proper
+    divisors d of p primitive periods of p bits. Each follows the empty
+    preamble or one of the 2^(L-1) preambles of L = 1 .. max_size - p
     bits whose last bit is the opposite of its own: 2^(max_size - p) in all.
     """
-    return sum(
-        sum(_moebius(d) << (p // d) for d in range(1, p + 1) if p % d == 0) << (max_size - p)
-        for p in range(1, max_size + 1)
-    )
+    primitive = {}
+    for p in range(1, max_size + 1):
+        primitive[p] = (1 << p) - sum(primitive[d] for d in range(1, p) if p % d == 0)
+    return sum(count << (max_size - p) for p, count in primitive.items())

@@ -112,20 +112,16 @@ class LawWitness:
     left_set: FiniteSet
     right_set: FiniteSet
     pairs: tuple[tuple[str, str], ...]
-    # The verdict of the first is_bijection call; every field is immutable.
-    _bijective: bool | None = field(default=None, init=False, compare=False, repr=False)
 
     def is_bijection(self) -> bool:
-        if self._bijective is None:
-            lefts = {left for left, _ in self.pairs}
-            rights = {right for _, right in self.pairs}
-            count = len(self.pairs)
-            # With count == |left_set| and lefts == left_set, no left repeats.
-            total = count == len(self.left_set) and lefts == self.left_set.members
-            injective = len(rights) == count
-            surjective = rights == self.right_set.members
-            object.__setattr__(self, "_bijective", total and injective and surjective)
-        return self._bijective
+        lefts = {left for left, _ in self.pairs}
+        rights = {right for _, right in self.pairs}
+        count = len(self.pairs)
+        # With count == |left_set| and lefts == left_set, no left repeats.
+        total = count == len(self.left_set) and lefts == self.left_set.members
+        injective = len(rights) == count
+        surjective = rights == self.right_set.members
+        return total and injective and surjective
 
 
 def make_set(labels: Iterable[str]) -> FiniteSet:
@@ -188,12 +184,8 @@ def _require_cardinal(value: int, name: str) -> None:
         raise ValueError(f"{name} must be a nonnegative integer, got {value}")
 
 
-def _plain_witness(size: int) -> FiniteSet:
-    return FiniteSet(tuple(f"e{i}" for i in range(size)))
-
-
-def _role_witness(role: str, size: int) -> FiniteSet:
-    return FiniteSet(tuple(f"{role}.e{i}" for i in range(size)))
+def _witness_set(size: int, prefix: str = "") -> FiniteSet:
+    return FiniteSet(tuple(f"{prefix}e{i}" for i in range(size)))
 
 
 def cardinal_add(a: int, b: int) -> int:
@@ -204,14 +196,14 @@ def cardinal_add(a: int, b: int) -> int:
     """
     _require_cardinal(a, "a")
     _require_cardinal(b, "b")
-    return len(tagged_union(_plain_witness(a), _plain_witness(b)))
+    return len(tagged_union(_witness_set(a), _witness_set(b)))
 
 
 def cardinal_mul(a: int, b: int) -> int:
     """a * b as the size of the enumerated pair set."""
     _require_cardinal(a, "a")
     _require_cardinal(b, "b")
-    return len(product(_plain_witness(a), _plain_witness(b)))
+    return len(product(_witness_set(a), _witness_set(b)))
 
 
 def cardinal_pow(a: int, b: int) -> int:
@@ -219,7 +211,7 @@ def cardinal_pow(a: int, b: int) -> int:
     a-element set (``0 ** 0 == 1``: the empty covering)."""
     _require_cardinal(a, "a")
     _require_cardinal(b, "b")
-    return len(covering_set(_plain_witness(b), _plain_witness(a)))
+    return len(covering_set(_witness_set(b), _witness_set(a)))
 
 
 def _enumeration_cost(law_id: str, a: int, b: int, c: int) -> int:
@@ -313,9 +305,9 @@ def verify_exponent_law(
         raise BudgetExceeded(
             f"{law_id} with a={a} b={b} c={c} would enumerate {cost} items (budget {budget})"
         )
-    m = _role_witness("M", a)
-    n = _role_witness("N", b)
-    p = _role_witness("P", c)
+    m = _witness_set(a, "M.")
+    n = _witness_set(b, "N.")
+    p = _witness_set(c, "P.")
     left_set, right_set, pairs = _LAW_BUILDERS[law_id](m, n, p)
     witness = LawWitness(law_id, left_set, right_set, pairs)
     if not witness.is_bijection():

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from continuum import bijection
+from continuum import bijection, dyadic
 from continuum.bijection import (
     DerivationStep,
     DerivationTrace,
@@ -29,7 +29,7 @@ from continuum.binary_streams import (
     value,
 )
 from continuum.cli import run
-from continuum.dyadic import Dyadic
+from continuum.dyadic import Dyadic, index_of
 from continuum.errors import DomainViolation
 
 bits = st.text("01", max_size=8)
@@ -53,6 +53,38 @@ def test_s_enumerate_examples(k, expected):
     point = Dyadic.from_index(k)
     assert s_enumerate(k) == expansions_of(point.fraction)[1]
     assert str(s_enumerate(k)) == expected
+
+
+def test_enumerations_match_the_dyadic_reference():
+    # Independent reference: the dyadic enumeration and both expansions of its points.
+    for k in (*range(2**12), 2**64 + 5, 2**200 + 3):
+        point = Dyadic.from_index(k)
+        chain, redundant = expansions_of(point.fraction)
+        assert t_enumerate(k) == chain
+        assert s_enumerate(k) == redundant
+        assert t_index(chain) == index_of(point) == k
+        assert s_index(redundant) == k
+
+
+def test_enumerations_reject_negative_indices():
+    for enumerate_chain in (t_enumerate, s_enumerate):
+        with pytest.raises(ValueError, match="index must be nonnegative"):
+            enumerate_chain(-1)
+
+
+def test_chain_is_read_off_bits_without_dyadic_points(monkeypatch):
+    reference = [expansions_of(Dyadic.from_index(k).fraction) for k in range(128)]
+
+    def refuse(point):
+        raise AssertionError(f"Dyadic{point.numerator, point.exponent} built")
+
+    monkeypatch.setattr(dyadic.Dyadic, "__post_init__", refuse)
+    assert derivation_trace(8).verdict == "pass"
+    for k in range(64):
+        (chain, redundant), (even, _), (odd, _) = reference[k], reference[2 * k], reference[2 * k + 1]
+        assert (t_enumerate(k), s_enumerate(k)) == (chain, redundant)
+        assert forward(even) == redundant and forward(odd) == chain
+        assert inverse(redundant) == even and inverse(chain) == odd
 
 
 def test_enumerations_agree_in_value_and_class():

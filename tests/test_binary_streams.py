@@ -624,12 +624,23 @@ def test_dual_of_agrees_with_the_value_route():
 
 
 def test_dual_of_values_only_dyadic_streams(monkeypatch):
-    def refuse(stream):
-        raise AssertionError(f"value({stream}) computed")
+    def refuse(argument):
+        raise AssertionError(f"{argument} valued or expanded")
 
     monkeypatch.setattr(binary_streams, "value", refuse)
+    monkeypatch.setattr(binary_streams, "expansions_of", refuse)
     for text in ("(0)", "(1)", "1(01)", "0(10)", "1" * 1000 + "(" + "01" * 1000 + ")"):
         assert dual_of(parse_stream(text)) is None
+    # Dyadic streams too: the dual swaps the last preamble bit and the period bit.
+    long_chain = "01" * 500
+    for text, dual in (
+        ("1(0)", "0(1)"),
+        ("0(1)", "1(0)"),
+        ("10(0)", "0(1)"),
+        ("01(1)", "1(0)"),
+        (long_chain + "(0)", long_chain[:-1] + "0(1)"),
+    ):
+        assert format_stream(dual_of(parse_stream(text))) == dual
 
 
 def test_dual_of_is_an_involution():
@@ -667,6 +678,11 @@ def test_enumerate_canonical_count_closed_form(mu, count):
 def test_library_closed_form_counts_the_enumeration():
     for mu in range(1, 13):
         assert binary_streams.count_canonical(mu) == len(enumerate_canonical(mu)) == count_canonical(mu)
+
+
+def test_library_count_matches_the_moebius_oracle():
+    for mu in range(1, 65):
+        assert binary_streams.count_canonical(mu) == count_canonical(mu)
 
 
 def test_enumerate_canonical_is_deterministic_and_unique():

@@ -88,6 +88,21 @@ def test_laws_all():
     assert all("bijection=valid" in line for line in lines)
 
 
+def test_laws_checks_each_witness_once(monkeypatch):
+    # verify_exponent_law has checked the bijection; the CLI does not ask again.
+    checks = []
+    original = finite_sets.LawWitness.is_bijection
+
+    def counted(witness):
+        checks.append(witness.law_id)
+        return original(witness)
+
+    monkeypatch.setattr(finite_sets.LawWitness, "is_bijection", counted)
+    result = run(["laws", "--check", "all", "--a", "2", "--b", "1", "--c", "2"])
+    assert result.exit_code == 0
+    assert checks == ["ADD_EXP", "MUL_EXP", "CURRY"]
+
+
 def test_laws_budget_exceeded_is_domain_error():
     result = run(
         ["laws", "--check", "CURRY", "--a", "3", "--b", "3", "--c", "3", "--budget", "10"]

@@ -12,7 +12,9 @@ of two source trees measured on the same machine::
     python3 tools/trace_curve.py --label change
 
 Exits 1 when a trace does not pass, or when |B| at some μ differs from
-the value already in the output file.
+the value already in the output file. A child that fails ends the run
+at once with exit 1, after its stderr, and the output file is left as it
+was.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ print(json.dumps({"B": len(enumerate_canonical(mu)), "verdict": verdict,
 
 def measure(mu: int, src: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(mu)], env=env, capture_output=True, text=True, check=True
-    )
+    done = subprocess.run([sys.executable, "-c", _CHILD, str(mu)], env=env, capture_output=True, text=True)
+    if done.returncode:
+        sys.stderr.write(done.stderr)
+        sys.exit(f"mu={mu}: the child exited with status {done.returncode}")
     return json.loads(done.stdout)
 
 
