@@ -188,8 +188,8 @@ def _check_streams(mu_max: int) -> tuple[set[int], dict[str, int], dict[EPBS, EP
     The left inverse and the round trip of a stream fixed both ways
     close on the spot; those of moved streams are settled from the two
     tables after the pass. Inverse is injective when its moved images
-    are distinct and none is a bounded stream it fixes, which a second
-    pass looks for when a moved image is small enough.
+    are distinct and none is a bounded stream it fixes, that is, a
+    canonical image of size <= μ that inverse does not move.
     """
     classify, valuate, expand = classify_stream, value, expansions_of
     shift, unshift, index_in_t, nth_in_t = forward, inverse, t_index, t_enumerate
@@ -198,8 +198,7 @@ def _check_streams(mu_max: int) -> tuple[set[int], dict[str, int], dict[EPBS, EP
     t_by_parity = [0, 0]  # |T_E|, |T_O|
     forward_moves: dict[EPBS, EPBS] = {}
     inverse_moves: dict[EPBS, EPBS] = {}
-    streams = enumerate_canonical(mu_max)
-    for e in streams:
+    for e in enumerate_canonical(mu_max):
         redundant = classify(e) is _IN_BS
         expansions = expand(valuate(e))
         position = index_in_t(e)
@@ -250,7 +249,7 @@ def _check_streams(mu_max: int) -> tuple[set[int], dict[str, int], dict[EPBS, EP
         failed.update(_ROUND_TRIP)
     images = set(inverse_moves.values())
     clashes = {m for m in images if m.size <= mu_max} - inverse_moves.keys()
-    if len(images) != len(inverse_moves) or (clashes and any(e in clashes for e in streams)):
+    if len(images) != len(inverse_moves) or any(canonicalize(m) == m for m in clashes):
         failed.add(32)
     # Every stream adds to exactly one of |B_S|, |T_E|, |T_O| and |B'_X|, so
     # steps 24 and 25 compare the counts with closed forms. |T| = |B_S|: a
@@ -260,9 +259,10 @@ def _check_streams(mu_max: int) -> tuple[set[int], dict[str, int], dict[EPBS, EP
     t_even, t_odd = t_by_parity
     if t_even + t_odd != chain:
         failed.add(24)
-    if len(streams) != count_canonical(mu_max) or not redundant_count == t_even + t_odd == chain:
+    walked = redundant_count + t_even + t_odd + rest
+    if walked != count_canonical(mu_max) or not redundant_count == t_even + t_odd == chain:
         failed.add(25)
-    sizes = {"B": len(streams), "B_S": redundant_count, "T_E": t_even, "T_O": t_odd, "B'_X": rest}
+    sizes = {"B": walked, "B_S": redundant_count, "T_E": t_even, "T_O": t_odd, "B'_X": rest}
     return failed, sizes, forward_moves, inverse_moves
 
 

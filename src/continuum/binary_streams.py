@@ -293,28 +293,14 @@ def enumerate_streams(max_size: int) -> Iterator[EPBS]:
                     yield EPBS(pre, per)
 
 
-def _preorder(max_length: int) -> Iterator[str]:
-    """Every bit string of at most ``max_length`` bits, in increasing order.
-
-    That order is the pre-order of the binary trie, ``"0"`` before ``"1"``:
-    a word comes before its extensions, and each after every shorter prefix.
-    """
-    stack = [""]
-    while stack:
-        word = stack.pop()
-        yield word
-        if len(word) < max_length:
-            stack.extend((word + "1", word + "0"))
-
-
 def enumerate_canonical(max_size: int) -> tuple[EPBS, ...]:
     """Distinct canonical streams of bounded size, in a fixed order.
 
     A canonical stream is a primitive period q after a preamble that is
     empty or ends in the bit opposite to q's last bit, so the pairs are
     generated directly rather than by canonicalizing every raw stream.
-    They come in (size, preamble, period) order without a sort: for each
-    size, the preambles in increasing order and, after each, its periods.
+    They come in (size, preamble, period) order: for each size, the
+    preambles in increasing order and, after each, its periods.
     """
     primitive = {
         length: [word for word in _words(length) if _primitive(word) == word]
@@ -325,9 +311,11 @@ def enumerate_canonical(max_size: int) -> tuple[EPBS, ...]:
         bit: {length: [q for q in words if q[-1] != bit] for length, words in primitive.items()}
         for bit in "01"
     }
-    streams = []
+    streams, preambles = [], []
     for size in range(1, max_size + 1):
-        for preamble in _preorder(size - 1):
+        # Sorted bit strings are in the binary trie's pre-order, each after its prefixes.
+        preambles = sorted([*preambles, *_words(size - 1)])
+        for preamble in preambles:
             periods = closed_by[preamble[-1]] if preamble else primitive
             streams.extend(map(EPBS, itertools.repeat(preamble), periods[size - len(preamble)]))
     return tuple(streams)

@@ -66,11 +66,11 @@ def _split_labels(text: str) -> list[str]:
 def _cmd_coverings(args) -> str:
     domain = finite_sets.make_set(_split_labels(args.exp))
     codomain = finite_sets.make_set(_split_labels(args.base))
-    cost = len(codomain) ** len(domain)
+    cost = finite_sets.bounded_pow(len(codomain), len(domain), args.budget)
     if cost > args.budget:
         raise BudgetExceeded(
-            f"coverings of {len(domain)} labels with {len(codomain)} labels "
-            f"would enumerate {cost} items (budget {args.budget})"
+            f"coverings of {len(domain)} labels with {len(codomain)} labels would enumerate "
+            f"{finite_sets.describe_count(cost, args.budget)} items (budget {args.budget})"
         )
     coverings = finite_sets.covering_set(domain, codomain)
     return "\n".join(cov.word() for cov in coverings)
@@ -149,7 +149,10 @@ def _cmd_trace(args) -> str:
 def _int_at_least(text: str, minimum: int) -> int:
     if re.fullmatch("[0-9]+", text) is None:
         raise argparse.ArgumentTypeError("must be an integer in ASCII digits")
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # more digits than int() may read
+        raise argparse.ArgumentTypeError(f"must have at most {sys.get_int_max_str_digits()} digits") from None
     if value < minimum:
         raise argparse.ArgumentTypeError(f"must be >= {minimum}")
     return value

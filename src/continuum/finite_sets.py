@@ -15,7 +15,9 @@ the natural bijection between both sides element by element.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -214,13 +216,41 @@ def cardinal_pow(a: int, b: int) -> int:
     return len(covering_set(_witness_set(b), _witness_set(a)))
 
 
-def _enumeration_cost(law_id: str, a: int, b: int, c: int) -> int:
+def _bound_bits(budget: int) -> int:
+    # 2^L passes the budget and has more decimal digits than str() may write.
+    return max(budget.bit_length(), 4 * sys.get_int_max_str_digits()) + 1
+
+
+def bounded_pow(base: int, exponent: int, budget: int) -> int:
+    """``base ** exponent``, or 2^L when 2^(exponent * (bit length of base - 1)),
+    a lower bound of the power, reaches 2^L, so a huge power is never built.
+    A sum or product of these is at most the true count, and exact when it
+    is at most ``budget``."""
+    bits = _bound_bits(budget)
+    if exponent * (base.bit_length() - 1) >= bits:
+        return 1 << bits
+    return base**exponent
+
+
+def describe_count(count: int, budget: int) -> str:
+    """A count of :func:`bounded_pow` results: in decimal below 2^L, where it
+    is exact, when ``str`` may write it, else as ``more than 2^k``."""
+    if count.bit_length() <= _bound_bits(budget):
+        try:
+            return str(count)
+        except ValueError:  # more decimal digits than str() may write
+            pass
+    return f"more than 2^{(count - 1).bit_length() - 1}"
+
+
+def _enumeration_cost(law_id: str, a: int, b: int, c: int, budget: int) -> int:
     # Total items materialized: intermediate covering/pair sets plus both sides.
+    power = functools.partial(bounded_pow, budget=budget)
     if law_id == "ADD_EXP":
-        return a**b + a**c + a**b * a**c + a ** (b + c)
+        return power(a, b) + power(a, c) + power(a, b) * power(a, c) + power(a, b + c)
     if law_id == "MUL_EXP":
-        return a**c + b**c + a * b + a**c * b**c + (a * b) ** c
-    return a**b + (a**b) ** c + c * b + a ** (b * c)
+        return power(a, c) + power(b, c) + a * b + power(a, c) * power(b, c) + power(a * b, c)
+    return power(a, b) + power(power(a, b), c) + c * b + power(a, b * c)
 
 
 def _witness(
@@ -300,10 +330,11 @@ def verify_exponent_law(
     _require_cardinal(a, "a")
     _require_cardinal(b, "b")
     _require_cardinal(c, "c")
-    cost = _enumeration_cost(law_id, a, b, c)
+    cost = _enumeration_cost(law_id, a, b, c, budget)
     if cost > budget:
         raise BudgetExceeded(
-            f"{law_id} with a={a} b={b} c={c} would enumerate {cost} items (budget {budget})"
+            f"{law_id} with a={a} b={b} c={c} would enumerate "
+            f"{describe_count(cost, budget)} items (budget {budget})"
         )
     m = _witness_set(a, "M.")
     n = _witness_set(b, "N.")

@@ -259,6 +259,19 @@ def test_trace_pass_keeps_state_for_the_moved_streams_only():
     assert sizes["T_E"] == sizes["T_O"] + 1
 
 
+def test_trace_pass_walks_its_universe_once(monkeypatch):
+    # An iterator has no len() and is empty after one walk: the pass counts
+    # |B| by its regions, and its clash check (step 32) walks nothing again.
+    original = bijection.enumerate_canonical
+    monkeypatch.setattr(bijection, "enumerate_canonical", lambda mu_max: iter(original(mu_max)))
+    assert derivation_trace(8).verdict == "pass"
+    assert bijection._check_streams(8)[1]["B"] == 1716 == count_canonical(8)
+    source, target = parse_stream("00001(0)"), parse_stream("(01)")
+    unmoved = bijection.inverse
+    monkeypatch.setattr(bijection, "inverse", lambda e: target if canonicalize(e) == source else unmoved(e))
+    assert _results(derivation_trace(6))[32] == "fail"
+
+
 # sha256 of ``trace --mu-max N --format json``, pinned so that any change to
 # the trace's bytes shows up here.
 TRACE_JSON_SHA256 = {

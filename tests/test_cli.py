@@ -47,8 +47,9 @@ def test_coverings_over_default_budget_refused_before_enumerating():
     assert time.perf_counter() - start < 1.0
     assert result.exit_code == 2
     assert result.output == ""
-    assert result.diagnostics.startswith("BudgetExceeded: ")
-    assert len(result.diagnostics.splitlines()) == 1
+    assert result.diagnostics == (
+        "BudgetExceeded: coverings of 30 labels with 2 labels would enumerate 1073741824 items (budget 1000000)"
+    )
 
 
 def test_coverings_budget_flag():
@@ -108,8 +109,31 @@ def test_laws_budget_exceeded_is_domain_error():
         ["laws", "--check", "CURRY", "--a", "3", "--b", "3", "--c", "3", "--budget", "10"]
     )
     assert result.exit_code == 2
-    assert result.diagnostics.startswith("BudgetExceeded:")
+    assert result.diagnostics == "BudgetExceeded: CURRY with a=3 b=3 c=3 would enumerate 39402 items (budget 10)"
     assert result.output == ""
+
+
+@pytest.mark.parametrize(
+    "argv, log2_count",
+    [
+        # 3 * 2^20000 + 1, 7 * 3^100000000 + 3 and 2^20000 items.
+        (["laws", "--check", "ADD_EXP", "--a", "2", "--b", "20000", "--c", "0"], 20001.5),
+        (["laws", "--check", "ADD_EXP", "--a", "3", "--b", "100000000", "--c", "1"], 1.58 * 10**8),
+        (["coverings", "--exp", _binary_labels(20000), "--base", "0,1"], 20000),
+    ],
+)
+def test_counts_past_the_int_to_str_limit_refused_as_lower_bounds(argv, log2_count):
+    # Each count has more decimal digits than str() may write, and the
+    # second would take minutes to compute.
+    start = time.perf_counter()
+    result = run(argv)
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert result.output == ""
+    found = re.fullmatch(
+        r"BudgetExceeded: .* would enumerate more than 2\^(\d+) items \(budget 1000000\)", result.diagnostics
+    )
+    assert found and 20 <= int(found.group(1)) < log2_count
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +374,18 @@ def test_usage_errors_exit_1(argv):
     result = run(argv)
     assert result.exit_code == 1
     assert result.output == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [["trace", "--mu-max"], ["laws", "--check", "ADD_EXP", "--b", "1", "--c", "1", "--a"]]
+)
+def test_integer_options_past_the_digit_limit_are_short_usage_errors(argv):
+    result = run(argv + ["9" * 5000])
+    assert result.exit_code == 1
+    assert result.output == ""
+    assert len(result.diagnostics) < 300
+    assert f"must have at most {sys.get_int_max_str_digits()} digits" in result.diagnostics
+    assert "_positive_int" not in result.diagnostics and "_nonnegative_int" not in result.diagnostics
 
 
 def test_help_exits_0():

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -248,6 +250,41 @@ def test_budget_guard():
         verify_exponent_law("CURRY", 10, 6, 6)
     with pytest.raises(BudgetExceeded):
         verify_exponent_law("ADD_EXP", 2, 2, 2, budget=5)
+
+
+def _exact_cost(law_id, a, b, c):
+    # The items each law's witness enumerates, by plain integer powers.
+    if law_id == "ADD_EXP":
+        return a**b + a**c + a**b * a**c + a ** (b + c)
+    if law_id == "MUL_EXP":
+        return a**c + b**c + a * b + a**c * b**c + (a * b) ** c
+    return a**b + (a**b) ** c + c * b + a ** (b * c)
+
+
+def test_budget_guard_is_exact_within_the_budget_and_a_lower_bound_past_it(monkeypatch):
+    # With no limit on int to str, powers are bounded just past the budget,
+    # so small arguments already reach the bound.
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    bounded = 0
+    for budget in (1, 10, 100):
+        for base, exponent in itertools.product(range(6), range(9)):
+            power = finite_sets.bounded_pow(base, exponent, budget)
+            assert power == base**exponent or budget < power < base**exponent
+        for law_id, a, b, c in itertools.product(LAW_IDS, range(5), range(5), range(4)):
+            exact = _exact_cost(law_id, a, b, c)
+            try:
+                verify_exponent_law(law_id, a, b, c, budget)
+            except BudgetExceeded as err:
+                assert exact > budget
+                found = re.fullmatch(r".* would enumerate (.+) items \(budget \d+\)", str(err)).group(1)
+                if found.startswith("more than 2^"):
+                    bounded += 1
+                    assert 2 ** int(found.removeprefix("more than 2^")) < exact
+                else:
+                    assert int(found) == exact
+            else:
+                assert exact <= budget
+    assert bounded
 
 
 def test_law_witness_detects_bad_pairs():

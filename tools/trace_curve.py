@@ -31,18 +31,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = 3  # fresh processes per μ; the least of their numbers is kept
 
-# Measured in the child before |B| is counted, so that counting adds
-# neither to the time nor to the peak.
+# |B| is counted by its closed form: a trace passes only when the streams
+# it walked are that many (step 25), and no second walk adds to the peak.
 _CHILD = """
 import json, resource, sys, time
 from continuum.bijection import derivation_trace
-from continuum.binary_streams import enumerate_canonical
+from continuum.binary_streams import count_canonical
 mu = int(sys.argv[1])
 start = time.perf_counter()
 verdict = derivation_trace(mu).verdict
 seconds = time.perf_counter() - start
 peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"B": len(enumerate_canonical(mu)), "verdict": verdict,
+print(json.dumps({"B": count_canonical(mu), "verdict": verdict,
                   "seconds": round(seconds, 3), "peak_rss_mb": round(peak_rss_mb, 1)}))
 """
 
