@@ -66,12 +66,7 @@ def _split_labels(text: str) -> list[str]:
 def _cmd_coverings(args) -> str:
     domain = finite_sets.make_set(_split_labels(args.exp))
     codomain = finite_sets.make_set(_split_labels(args.base))
-    cost = finite_sets.bounded_pow(len(codomain), len(domain), args.budget)
-    if cost > args.budget:
-        raise BudgetExceeded(
-            f"coverings of {len(domain)} labels with {len(codomain)} labels would enumerate "
-            f"{finite_sets.describe_count(cost, args.budget)} items (budget {args.budget})"
-        )
+    finite_sets.check_covering_budget(domain, codomain, args.budget)
     coverings = finite_sets.covering_set(domain, codomain)
     return "\n".join(cov.word() for cov in coverings)
 

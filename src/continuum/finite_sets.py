@@ -15,7 +15,6 @@ the natural bijection between both sides element by element.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import sys
 from dataclasses import dataclass, field
@@ -216,36 +215,49 @@ def cardinal_pow(a: int, b: int) -> int:
     return len(covering_set(_witness_set(b), _witness_set(a)))
 
 
-def _bound_bits(budget: int) -> int:
-    # 2^L passes the budget and has more decimal digits than str() may write.
-    return max(budget.bit_length(), 4 * sys.get_int_max_str_digits()) + 1
+def _limit_bits(budget: int) -> int:
+    # 2^L passes the budget and has more decimal digits than str() may write
+    # (4300, the default, when there is no limit: 0 or Python before 3.10.7).
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    return max(budget.bit_length(), 4 * digits) + 1
 
 
-def bounded_pow(base: int, exponent: int, budget: int) -> int:
-    """``base ** exponent``, or 2^L when 2^(exponent * (bit length of base - 1)),
-    a lower bound of the power, reaches 2^L, so a huge power is never built.
-    A sum or product of these is at most the true count, and exact when it
-    is at most ``budget``."""
-    bits = _bound_bits(budget)
+def _bounded_pow(base: int, exponent: int, bits: int) -> int:
+    # base ** exponent, or 2^bits once 2^(exponent * (bit length of base - 1)),
+    # a lower bound of the power, reaches it, so a huge power is never built.
     if exponent * (base.bit_length() - 1) >= bits:
         return 1 << bits
     return base**exponent
 
 
-def describe_count(count: int, budget: int) -> str:
-    """A count of :func:`bounded_pow` results: in decimal below 2^L, where it
-    is exact, when ``str`` may write it, else as ``more than 2^k``."""
-    if count.bit_length() <= _bound_bits(budget):
+def _require_within_budget(what: str, cost: int, bits: int, budget: int) -> None:
+    # ``cost``, a sum or product of _bounded_pow results at ``bits``, is exact
+    # up to ``budget``; a refusal names it in decimal when it is below 2^bits
+    # and str() may write it, else as the lower bound ``more than 2^k``.
+    if cost <= budget:
+        return
+    count = f"more than 2^{(cost - 1).bit_length() - 1}"
+    if cost.bit_length() <= bits:
         try:
-            return str(count)
+            count = str(cost)
         except ValueError:  # more decimal digits than str() may write
             pass
-    return f"more than 2^{(count - 1).bit_length() - 1}"
+    raise BudgetExceeded(f"{what} would enumerate {count} items (budget {budget})")
 
 
-def _enumeration_cost(law_id: str, a: int, b: int, c: int, budget: int) -> int:
+def check_covering_budget(domain: FiniteSet, codomain: FiniteSet, budget: int) -> None:
+    """Raise :class:`BudgetExceeded`, without computing the power, when the
+    covering-set of ``domain`` with ``codomain`` has more than ``budget`` items."""
+    bits = _limit_bits(budget)
+    cost = _bounded_pow(len(codomain), len(domain), bits)
+    _require_within_budget(f"coverings of {len(domain)} labels with {len(codomain)} labels", cost, bits, budget)
+
+
+def _enumeration_cost(law_id: str, a: int, b: int, c: int, bits: int) -> int:
     # Total items materialized: intermediate covering/pair sets plus both sides.
-    power = functools.partial(bounded_pow, budget=budget)
+    def power(base: int, exponent: int) -> int:
+        return _bounded_pow(base, exponent, bits)
+
     if law_id == "ADD_EXP":
         return power(a, b) + power(a, c) + power(a, b) * power(a, c) + power(a, b + c)
     if law_id == "MUL_EXP":
@@ -330,12 +342,9 @@ def verify_exponent_law(
     _require_cardinal(a, "a")
     _require_cardinal(b, "b")
     _require_cardinal(c, "c")
-    cost = _enumeration_cost(law_id, a, b, c, budget)
-    if cost > budget:
-        raise BudgetExceeded(
-            f"{law_id} with a={a} b={b} c={c} would enumerate "
-            f"{describe_count(cost, budget)} items (budget {budget})"
-        )
+    bits = _limit_bits(budget)
+    cost = _enumeration_cost(law_id, a, b, c, bits)
+    _require_within_budget(f"{law_id} with a={a} b={b} c={c}", cost, bits, budget)
     m = _witness_set(a, "M.")
     n = _witness_set(b, "N.")
     p = _witness_set(c, "P.")

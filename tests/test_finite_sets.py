@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import re
 import sys
@@ -16,6 +17,7 @@ from continuum.finite_sets import (
     cardinal_add,
     cardinal_mul,
     cardinal_pow,
+    check_covering_budget,
     covering_set,
     disjoint_union,
     make_set,
@@ -261,30 +263,36 @@ def _exact_cost(law_id, a, b, c):
     return a**b + (a**b) ** c + c * b + a ** (b * c)
 
 
+def _refused_count(check, exact, budget):
+    # Runs one budget check; a refusal names the exact count or a true lower bound.
+    try:
+        check()
+    except BudgetExceeded as err:
+        assert exact > budget
+        found = re.fullmatch(r".* would enumerate (.+) items \(budget \d+\)", str(err)).group(1)
+        if found.startswith("more than 2^"):
+            assert 2 ** int(found.removeprefix("more than 2^")) < exact
+            return "bound"
+        assert int(found) == exact
+        return "exact"
+    assert exact <= budget
+    return "admitted"
+
+
 def test_budget_guard_is_exact_within_the_budget_and_a_lower_bound_past_it(monkeypatch):
-    # With no limit on int to str, powers are bounded just past the budget,
-    # so small arguments already reach the bound.
-    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
-    bounded = 0
+    # With a limit of one digit on int to str, powers are bounded just past
+    # the budget, so small arguments already reach the bound.
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 1, raising=False)
+    answers = set()
     for budget in (1, 10, 100):
         for base, exponent in itertools.product(range(6), range(9)):
-            power = finite_sets.bounded_pow(base, exponent, budget)
-            assert power == base**exponent or budget < power < base**exponent
+            domain, codomain = make_set(map(str, range(exponent))), make_set(map(str, range(base)))
+            check = functools.partial(check_covering_budget, domain, codomain, budget)
+            answers.add(_refused_count(check, base**exponent, budget))
         for law_id, a, b, c in itertools.product(LAW_IDS, range(5), range(5), range(4)):
-            exact = _exact_cost(law_id, a, b, c)
-            try:
-                verify_exponent_law(law_id, a, b, c, budget)
-            except BudgetExceeded as err:
-                assert exact > budget
-                found = re.fullmatch(r".* would enumerate (.+) items \(budget \d+\)", str(err)).group(1)
-                if found.startswith("more than 2^"):
-                    bounded += 1
-                    assert 2 ** int(found.removeprefix("more than 2^")) < exact
-                else:
-                    assert int(found) == exact
-            else:
-                assert exact <= budget
-    assert bounded
+            check = functools.partial(verify_exponent_law, law_id, a, b, c, budget)
+            answers.add(_refused_count(check, _exact_cost(law_id, a, b, c), budget))
+    assert answers == {"admitted", "exact", "bound"}
 
 
 def test_law_witness_detects_bad_pairs():
