@@ -276,8 +276,19 @@ def _witness(
     # of the right set, not equal copies.
     right_set = FiniteSet(tuple(cov.label() for cov in covering_set(domain, codomain)))
     shared = dict(zip(right_set.elements, right_set.elements))
-    pairs = tuple((left, shared[Covering(domain, codomain, image).label()]) for left, image in lefts)
-    return FiniteSet(tuple(left for left, _ in pairs)), right_set, pairs
+    size = len(domain.elements)
+    allowed = codomain.members
+    pairs = []
+    for left, image in lefts:
+        # Each image passes Covering's own check, in place, with no Covering
+        # built. A hit in ``shared`` would not do: labels may contain commas
+        # (product labels do), so a short or foreign image can join to the
+        # label of a valid one. An image that fails is built, so it raises
+        # Covering's error.
+        if len(image) != size or not allowed.issuperset(image):
+            Covering(domain, codomain, image)
+        pairs.append((left, shared["[" + ",".join(image) + "]"]))
+    return FiniteSet(tuple(left for left, _ in pairs)), right_set, tuple(pairs)
 
 
 def _covering_pairs(

@@ -361,6 +361,40 @@ def test_pair_right_labels_are_the_right_set_strings(law_id, a, b, c):
     assert all(id(right) in stored for _, right in witness.pairs)
 
 
+@pytest.mark.parametrize("law_id", LAW_IDS)
+def test_law_witness_builds_only_enumerated_coverings(law_id, monkeypatch):
+    # Every Covering built is one that covering_set enumerates; the glued
+    # images are checked in place, not built.
+    built, enumerated = [0], [0]
+    original_post_init, original_covering_set = Covering.__post_init__, finite_sets.covering_set
+
+    def counting_post_init(self):
+        built[0] += 1
+        original_post_init(self)
+
+    def counting_covering_set(domain, codomain):
+        result = original_covering_set(domain, codomain)
+        enumerated[0] += len(result)
+        return result
+
+    monkeypatch.setattr(Covering, "__post_init__", counting_post_init)
+    monkeypatch.setattr(finite_sets, "covering_set", counting_covering_set)
+    verify_exponent_law(law_id, 2, 2, 3)
+    assert enumerated[0] > 0
+    assert built[0] == enumerated[0]
+
+
+def test_witness_refuses_images_that_are_not_coverings():
+    domain, codomain = make_set(["x", "y"]), make_set(["a", "b", "a,b"])
+    _, _, pairs = finite_sets._witness([("f", ("a", "b"))], domain, codomain)
+    assert pairs == (("f", "[a,b]"),)
+    with pytest.raises(ValueError, match="'z'"):
+        finite_sets._witness([("f", ("a", "z"))], domain, codomain)
+    # ("a,b",) joins to "[a,b]", the label of ("a", "b"), yet is not total.
+    with pytest.raises(ValueError, match="not total"):
+        finite_sets._witness([("f", ("a,b",))], domain, codomain)
+
+
 def test_verify_rejects_a_builder_that_breaks_the_bijection(monkeypatch):
     original = finite_sets._LAW_BUILDERS["ADD_EXP"]
 
