@@ -60,7 +60,7 @@ class EPBS:
             raise ValueError(f"bits must be a string of '0' and '1', got {part!r}")
         # This check is what makes ``int(part, 2)`` safe: ``int`` would
         # also accept "_", whitespace and non-ASCII digits.
-        bad = (preamble + period).translate(_NOT_BITS)
+        bad = preamble.translate(_NOT_BITS) or period.translate(_NOT_BITS)
         if bad:
             raise ValueError(f"bits must be '0' or '1', got {bad[0]!r}")
         if not period:
@@ -90,25 +90,30 @@ class StreamClass(Enum):
 
 
 def parse_stream(text: str) -> EPBS:
-    """Parse a ``bits(bits)`` literal; period part must be nonempty."""
+    """Parse a ``bits(bits)`` literal; period part must be nonempty.
+
+    The bits are checked by :class:`EPBS` alone. Only a literal it
+    refuses, or one without its ``)``, is read again, to name its first
+    fault and that fault's position.
+    """
     open_at = text.find("(")
     if open_at < 0:
         raise ParseError("missing '(' in stream literal", position=len(text))
-    preamble = text[:open_at]
+    preamble, body = text[:open_at], text[open_at + 1 : -1]
+    if text.endswith(")"):
+        try:
+            return EPBS(preamble, body)
+        except ValueError:
+            pass
     bad = preamble.translate(_NOT_BITS)
     if bad:
         raise ParseError(f"invalid preamble character {bad[0]!r}", position=preamble.find(bad[0]))
     if not text.endswith(")"):
         raise ParseError("missing ')' in stream literal", position=len(text))
-    body = text[open_at + 1 : -1]
     if not body:
         raise ParseError("period must be nonempty", position=open_at + 1)
-    bad = body.translate(_NOT_BITS)
-    if bad:
-        raise ParseError(
-            f"invalid period character {bad[0]!r}", position=open_at + 1 + body.find(bad[0])
-        )
-    return EPBS(preamble, body)
+    bad = body.translate(_NOT_BITS)  # not empty: EPBS refused these parts
+    raise ParseError(f"invalid period character {bad[0]!r}", position=open_at + 1 + body.find(bad[0]))
 
 
 def format_stream(stream: EPBS) -> str:

@@ -52,20 +52,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-def _split_labels(text: str) -> list[str]:
-    if text == "":
-        return []
-    labels = text.split(",")
-    if any(label == "" for label in labels):
+def _label_set(text: str) -> finite_sets.FiniteSet:
+    labels = text.split(",") if text else []
+    if "" in labels:
         raise _UsageError("empty label in list")
-    if len(set(labels)) != len(labels):
-        raise _UsageError("duplicate label in list")
-    return labels
+    try:
+        return finite_sets.FiniteSet(tuple(labels))
+    except ValueError:  # FiniteSet refuses a repeated label
+        raise _UsageError("duplicate label in list") from None
 
 
 def _cmd_coverings(args) -> str:
-    domain = finite_sets.make_set(_split_labels(args.exp))
-    codomain = finite_sets.make_set(_split_labels(args.base))
+    domain, codomain = _label_set(args.exp), _label_set(args.base)
     finite_sets.check_covering_budget(domain, codomain, args.budget)
     coverings = finite_sets.covering_set(domain, codomain)
     return "\n".join(cov.word() for cov in coverings)

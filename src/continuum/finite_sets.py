@@ -15,10 +15,11 @@ the natural bijection between both sides element by element.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExceeded, DisjointnessViolation
 
@@ -215,49 +216,45 @@ def cardinal_pow(a: int, b: int) -> int:
     return len(covering_set(_witness_set(b), _witness_set(a)))
 
 
-def _limit_bits(budget: int) -> int:
-    # 2^L passes the budget and has more decimal digits than str() may write
-    # (4300, the default, when there is no limit: 0 or Python before 3.10.7).
+def _require_within_budget(what: str, budget: int, count: Callable[[Callable], int]) -> None:
+    """Raise :class:`BudgetExceeded` when ``count(power)`` items pass ``budget``.
+
+    ``count`` adds and multiplies ``power(base, exponent)`` results. Each
+    is exact below a cap of 2^L that passes the budget and has more
+    decimal digits than str() may write (4300, the default, when there is
+    no limit: 0 or Python before 3.10.7). It is 2^L once a lower bound of
+    the power reaches the cap, so a huge power is never built. A refusal
+    names the count in decimal when it is below the cap and str() may
+    write it, else as the lower bound ``more than 2^k``.
+    """
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-    return max(budget.bit_length(), 4 * digits) + 1
+    cap = max(budget.bit_length(), 4 * digits) + 1
 
+    def power(base: int, exponent: int) -> int:
+        # 2^(exponent * (bit length of base - 1)) is at most base ** exponent.
+        return 1 << cap if exponent * (base.bit_length() - 1) >= cap else base**exponent
 
-def _bounded_pow(base: int, exponent: int, bits: int) -> int:
-    # base ** exponent, or 2^bits once 2^(exponent * (bit length of base - 1)),
-    # a lower bound of the power, reaches it, so a huge power is never built.
-    if exponent * (base.bit_length() - 1) >= bits:
-        return 1 << bits
-    return base**exponent
-
-
-def _require_within_budget(what: str, cost: int, bits: int, budget: int) -> None:
-    # ``cost``, a sum or product of _bounded_pow results at ``bits``, is exact
-    # up to ``budget``; a refusal names it in decimal when it is below 2^bits
-    # and str() may write it, else as the lower bound ``more than 2^k``.
+    cost = count(power)
     if cost <= budget:
         return
-    count = f"more than 2^{(cost - 1).bit_length() - 1}"
-    if cost.bit_length() <= bits:
+    items = f"more than 2^{(cost - 1).bit_length() - 1}"
+    if cost.bit_length() <= cap:
         try:
-            count = str(cost)
+            items = str(cost)
         except ValueError:  # more decimal digits than str() may write
             pass
-    raise BudgetExceeded(f"{what} would enumerate {count} items (budget {budget})")
+    raise BudgetExceeded(f"{what} would enumerate {items} items (budget {budget})")
 
 
 def check_covering_budget(domain: FiniteSet, codomain: FiniteSet, budget: int) -> None:
     """Raise :class:`BudgetExceeded`, without computing the power, when the
     covering-set of ``domain`` with ``codomain`` has more than ``budget`` items."""
-    bits = _limit_bits(budget)
-    cost = _bounded_pow(len(codomain), len(domain), bits)
-    _require_within_budget(f"coverings of {len(domain)} labels with {len(codomain)} labels", cost, bits, budget)
+    what = f"coverings of {len(domain)} labels with {len(codomain)} labels"
+    _require_within_budget(what, budget, lambda power: power(len(codomain), len(domain)))
 
 
-def _enumeration_cost(law_id: str, a: int, b: int, c: int, bits: int) -> int:
+def _enumeration_cost(law_id: str, a: int, b: int, c: int, power: Callable[[int, int], int]) -> int:
     # Total items materialized: intermediate covering/pair sets plus both sides.
-    def power(base: int, exponent: int) -> int:
-        return _bounded_pow(base, exponent, bits)
-
     if law_id == "ADD_EXP":
         return power(a, b) + power(a, c) + power(a, b) * power(a, c) + power(a, b + c)
     if law_id == "MUL_EXP":
@@ -353,9 +350,8 @@ def verify_exponent_law(
     _require_cardinal(a, "a")
     _require_cardinal(b, "b")
     _require_cardinal(c, "c")
-    bits = _limit_bits(budget)
-    cost = _enumeration_cost(law_id, a, b, c, bits)
-    _require_within_budget(f"{law_id} with a={a} b={b} c={c}", cost, bits, budget)
+    cost = functools.partial(_enumeration_cost, law_id, a, b, c)
+    _require_within_budget(f"{law_id} with a={a} b={b} c={c}", budget, cost)
     m = _witness_set(a, "M.")
     n = _witness_set(b, "N.")
     p = _witness_set(c, "P.")

@@ -243,6 +243,13 @@ def test_parse_stream_agrees_with_the_one_at_a_time_oracle(text):
     assert str(err.value) == f"{message} (at position {position})"
 
 
+
+def test_parse_stream_leaves_the_bit_check_to_epbs(monkeypatch):
+    # An EPBS that accepts anything gets the parts as they are, and its value
+    # is returned: parse_stream scans no bit itself before EPBS refuses.
+    monkeypatch.setattr(binary_streams, "EPBS", lambda preamble, period: ("stub", preamble, period))
+    assert parse_stream("0x(1y)") == ("stub", "0x", "1y")
+
 @given(bit_strings, bit_strings)
 def test_epbs_check_agrees_with_the_one_at_a_time_oracle(preamble, period):
     expected = epbs_error_one_at_a_time(preamble, period)

@@ -376,6 +376,20 @@ def test_usage_errors_exit_1(argv):
     assert result.output == ""
 
 
+
+@pytest.mark.parametrize(
+    "exp, base, message",
+    [
+        ("a,a", "0,1", "duplicate label in list"),
+        ("a,,b", "0,1", "empty label in list"),
+        ("a", ",", "empty label in list"),
+    ],
+)
+def test_coverings_label_list_errors_name_the_fault(monkeypatch, capsys, exp, base, message):
+    monkeypatch.setattr("sys.argv", ["continuum", "coverings", "--exp", exp, "--base", base])
+    assert main() == 1
+    assert capsys.readouterr() == ("", message + "\n")
+
 @pytest.mark.parametrize(
     "argv", [["trace", "--mu-max"], ["laws", "--check", "ADD_EXP", "--b", "1", "--c", "1", "--a"]]
 )
