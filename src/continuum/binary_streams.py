@@ -232,29 +232,24 @@ def expansions_of(q: Fraction) -> list[EPBS]:
     Interior dyadic points get two (trailing 0s, then trailing 1s);
     everything else in [0, 1], including both endpoints, gets one.
 
-    For reduced a/b with b = 2^k * b' and b' odd, the preamble has k bits
-    and the period P = ord_b'(2) bits; together they are the k + P bits
-    of X = a * (2^P - 1) / b', split as X div (2^P - 1) and X mod (2^P - 1).
+    For reduced a/b < 1 with b = 2^k * b' and b' odd, the preamble has k
+    bits and the period P = ord_b'(2) bits; together they are the k + P
+    bits of X = a * (2^P - 1) / b', split as X div (2^P - 1) and
+    X mod (2^P - 1). A dyadic q has b' = 1 and the one-bit period ``(0)``;
+    its second expansion is the :func:`dual_of` of the first.
     """
     q = ensure_unit_interval(q)
-    numerator, denominator = q.numerator, q.denominator
-    if numerator == 0:
-        return [EPBS("", "0")]
-    if numerator == denominator:
+    if q == 1:
         return [EPBS("", "1")]
-    pre_len = (denominator & -denominator).bit_length() - 1
-    odd = denominator >> pre_len
-    if odd == 1:
-        # A dyadic point: the numerator is odd, so both forms are canonical.
-        return [
-            EPBS(format(numerator, "b").zfill(pre_len), "0"),
-            EPBS(format(numerator - 1, "b").zfill(pre_len), "1"),
-        ]
-    per_len = _period_length(odd)
+    pre_len = (q.denominator & -q.denominator).bit_length() - 1
+    odd = q.denominator >> pre_len
+    per_len = _period_length(odd) if odd > 1 else 1
     cycle = (1 << per_len) - 1
-    head, tail = divmod(numerator * (cycle // odd), cycle)
+    head, tail = divmod(q.numerator * (cycle // odd), cycle)
     bits = format(head << per_len | tail, "b").zfill(pre_len + per_len)
-    return [EPBS(bits[:pre_len], bits[pre_len:])]
+    first = EPBS(bits[:pre_len], bits[pre_len:])
+    dual = dual_of(first) if odd == 1 else None  # only a dyadic point may have two
+    return [first] if dual is None else [first, dual]
 
 
 def classify_stream(stream: EPBS) -> StreamClass:

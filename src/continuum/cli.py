@@ -15,23 +15,10 @@ import argparse
 import re
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from . import bijection, binary_streams, dyadic, finite_sets
-from .errors import (
-    BudgetExceeded,
-    DisjointnessViolation,
-    DomainViolation,
-    OutOfRange,
-    ParseError,
-)
-
-_DOMAIN_ERRORS = (
-    OutOfRange,
-    DisjointnessViolation,
-    DomainViolation,
-    ParseError,
-    BudgetExceeded,
-)
+from .errors import BudgetExceeded, DomainError
 
 
 @dataclass(frozen=True)
@@ -71,6 +58,8 @@ def _cmd_coverings(args) -> str:
 
 def _cmd_laws(args) -> str:
     laws = finite_sets.LAW_IDS if args.check == "all" else (args.check,)
+    for law in laws:  # refuse before any law is built
+        finite_sets.check_law_budget(law, args.a, args.b, args.c, args.budget)
     lines = []
     for law in laws:
         # verify_exponent_law raises unless the witness is a bijection.
@@ -139,24 +128,19 @@ def _cmd_trace(args) -> str:
     return "\n".join(lines)
 
 
-def _int_at_least(text: str, minimum: int) -> int:
-    if re.fullmatch("[0-9]+", text) is None:
-        raise argparse.ArgumentTypeError("must be an integer in ASCII digits")
-    try:
-        value = int(text)
-    except ValueError:  # more digits than int() may read
-        raise argparse.ArgumentTypeError(f"must have at most {sys.get_int_max_str_digits()} digits") from None
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"must be >= {minimum}")
-    return value
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    def read(text: str) -> int:
+        if re.fullmatch("[0-9]+", text) is None:
+            raise argparse.ArgumentTypeError("must be an integer in ASCII digits")
+        try:
+            value = int(text)
+        except ValueError:  # more digits than int() may read
+            raise argparse.ArgumentTypeError(f"must have at most {sys.get_int_max_str_digits()} digits") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}")
+        return value
 
-
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
-def _nonnegative_int(text: str) -> int:
-    return _int_at_least(text, 0)
+    return read
 
 
 # Built by the first build_parser call and shared by every later command:
@@ -174,20 +158,20 @@ def build_parser() -> argparse.ArgumentParser:
     coverings = sub.add_parser("coverings", help="enumerate the covering-set of one set with another")
     coverings.add_argument("--exp", required=True, help="comma-separated exponent-side (domain) labels")
     coverings.add_argument("--base", required=True, help="comma-separated base-side (codomain) labels")
-    coverings.add_argument("--budget", type=_positive_int, default=finite_sets.DEFAULT_BUDGET)
+    coverings.add_argument("--budget", type=_int_at_least(1), default=finite_sets.DEFAULT_BUDGET)
     coverings.set_defaults(handler=_cmd_coverings)
 
     laws = sub.add_parser("laws", help="verify exponent laws by explicit bijection")
     laws.add_argument("--check", required=True, choices=finite_sets.LAW_IDS + ("all",))
-    laws.add_argument("--a", type=_nonnegative_int, required=True)
-    laws.add_argument("--b", type=_nonnegative_int, required=True)
-    laws.add_argument("--c", type=_nonnegative_int, required=True)
-    laws.add_argument("--budget", type=_positive_int, default=finite_sets.DEFAULT_BUDGET)
+    laws.add_argument("--a", type=_int_at_least(0), required=True)
+    laws.add_argument("--b", type=_int_at_least(0), required=True)
+    laws.add_argument("--c", type=_int_at_least(0), required=True)
+    laws.add_argument("--budget", type=_int_at_least(1), default=finite_sets.DEFAULT_BUDGET)
     laws.set_defaults(handler=_cmd_laws)
 
     expand = sub.add_parser("expand", help="binary expansion(s) of a rational in [0,1]")
     expand.add_argument("rational", help='rational literal, e.g. "3/8"')
-    expand.add_argument("--budget", type=_positive_int, default=finite_sets.DEFAULT_BUDGET)
+    expand.add_argument("--budget", type=_int_at_least(1), default=finite_sets.DEFAULT_BUDGET)
     expand.set_defaults(handler=_cmd_expand)
 
     classify = sub.add_parser("classify", help="classify a rational point of [0,1]")
@@ -205,9 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     map_cmd.set_defaults(handler=_cmd_map)
 
     trace = sub.add_parser("trace", help="replay the derivation with bounded checks")
-    trace.add_argument("--mu-max", type=_positive_int, required=True)
+    trace.add_argument("--mu-max", type=_int_at_least(1), required=True)
     trace.add_argument("--format", choices=("json", "text"), default="text")
-    trace.add_argument("--budget", type=_positive_int, default=finite_sets.DEFAULT_BUDGET)
+    trace.add_argument("--budget", type=_int_at_least(1), default=finite_sets.DEFAULT_BUDGET)
     trace.set_defaults(handler=_cmd_trace)
 
     _PARSER = parser
@@ -227,7 +211,7 @@ def run(argv: list[str]) -> CommandResult:
         return CommandResult(0, output=args.handler(args))
     except _UsageError as err:
         return CommandResult(1, diagnostics=str(err))
-    except _DOMAIN_ERRORS as err:
+    except DomainError as err:
         return CommandResult(2, diagnostics=f"{type(err).__name__}: {err}")
 
 

@@ -1,17 +1,21 @@
 """Domain errors shared across the package.
 
-Every error maps to a stable, machine-parsable name: the CLI prints
-``<ClassName>: <message>`` on one line and exits with code 2.
+Every error subclasses :class:`DomainError`, which the CLI catches: it
+prints ``<ClassName>: <message>`` on one line and exits with code 2.
 """
 
 from __future__ import annotations
 
 
-class OutOfRange(ValueError):
+class DomainError(Exception):
+    """Base of every domain error; each also keeps a builtin base."""
+
+
+class OutOfRange(DomainError, ValueError):
     """A rational argument lies outside the unit interval [0, 1]."""
 
 
-class DisjointnessViolation(ValueError):
+class DisjointnessViolation(DomainError, ValueError):
     """Strict disjoint union received sets that share labels."""
 
     def __init__(self, common: tuple[str, ...]):
@@ -19,11 +23,11 @@ class DisjointnessViolation(ValueError):
         super().__init__(f"sets share labels: {', '.join(self.common)}")
 
 
-class DomainViolation(ValueError):
+class DomainViolation(DomainError, ValueError):
     """A stream was passed to a map whose domain excludes it."""
 
 
-class ParseError(ValueError):
+class ParseError(DomainError, ValueError):
     """Malformed literal. ``position`` is the offset of the failure."""
 
     def __init__(self, message: str, position: int | None = None):
@@ -33,5 +37,5 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(DomainError, RuntimeError):
     """An enumeration would exceed the configured item budget."""

@@ -181,9 +181,10 @@ def covering_set(domain: FiniteSet, codomain: FiniteSet) -> CoveringSet:
     return CoveringSet(domain, codomain, coverings)
 
 
-def _require_cardinal(value: int, name: str) -> None:
-    if value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value}")
+def _require_cardinals(**values: int) -> None:
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {value}")
 
 
 def _witness_set(size: int, prefix: str = "") -> FiniteSet:
@@ -196,23 +197,20 @@ def cardinal_add(a: int, b: int) -> int:
     The witnesses deliberately reuse the same labels, so the sum is only
     correct because it routes through :func:`tagged_union`.
     """
-    _require_cardinal(a, "a")
-    _require_cardinal(b, "b")
+    _require_cardinals(a=a, b=b)
     return len(tagged_union(_witness_set(a), _witness_set(b)))
 
 
 def cardinal_mul(a: int, b: int) -> int:
     """a * b as the size of the enumerated pair set."""
-    _require_cardinal(a, "a")
-    _require_cardinal(b, "b")
+    _require_cardinals(a=a, b=b)
     return len(product(_witness_set(a), _witness_set(b)))
 
 
 def cardinal_pow(a: int, b: int) -> int:
     """a ** b as the size of the covering-set of a b-element set with an
     a-element set (``0 ** 0 == 1``: the empty covering)."""
-    _require_cardinal(a, "a")
-    _require_cardinal(b, "b")
+    _require_cardinals(a=a, b=b)
     return len(covering_set(_witness_set(b), _witness_set(a)))
 
 
@@ -254,12 +252,26 @@ def check_covering_budget(domain: FiniteSet, codomain: FiniteSet, budget: int) -
 
 
 def _enumeration_cost(law_id: str, a: int, b: int, c: int, power: Callable[[int, int], int]) -> int:
-    # Total items materialized: intermediate covering/pair sets plus both sides.
+    # Total items materialized: the labels of M, N, P (and of N (+) P), the
+    # intermediate covering/pair sets and both sides. No assignment is longer
+    # than a label set counted here, so assignment entries are not counted.
+    labels = a + b + c
     if law_id == "ADD_EXP":
-        return power(a, b) + power(a, c) + power(a, b) * power(a, c) + power(a, b + c)
+        return labels + b + c + power(a, b) + power(a, c) + power(a, b) * power(a, c) + power(a, b + c)
     if law_id == "MUL_EXP":
-        return power(a, c) + power(b, c) + a * b + power(a, c) * power(b, c) + power(a * b, c)
-    return power(a, b) + power(power(a, b), c) + c * b + power(a, b * c)
+        return labels + power(a, c) + power(b, c) + a * b + power(a, c) * power(b, c) + power(a * b, c)
+    return labels + power(a, b) + power(power(a, b), c) + c * b + power(a, b * c)
+
+
+def check_law_budget(law_id: str, a: int, b: int, c: int, budget: int) -> None:
+    """Raise, building nothing, unless ``law_id`` names a law, a, b and c are
+    cardinals, and the law's witness enumerates at most ``budget`` items
+    (:class:`BudgetExceeded` when it would enumerate more)."""
+    if law_id not in LAW_IDS:
+        raise ValueError(f"unknown law id {law_id!r}; expected one of {LAW_IDS}")
+    _require_cardinals(a=a, b=b, c=c)
+    cost = functools.partial(_enumeration_cost, law_id, a, b, c)
+    _require_within_budget(f"{law_id} with a={a} b={b} c={c}", budget, cost)
 
 
 def _witness(
@@ -345,13 +357,7 @@ def verify_exponent_law(
     enumerated and validated. Raises :class:`BudgetExceeded` before
     enumerating anything when the total item count would pass ``budget``.
     """
-    if law_id not in _LAW_BUILDERS:
-        raise ValueError(f"unknown law id {law_id!r}; expected one of {LAW_IDS}")
-    _require_cardinal(a, "a")
-    _require_cardinal(b, "b")
-    _require_cardinal(c, "c")
-    cost = functools.partial(_enumeration_cost, law_id, a, b, c)
-    _require_within_budget(f"{law_id} with a={a} b={b} c={c}", budget, cost)
+    check_law_budget(law_id, a, b, c, budget)
     m = _witness_set(a, "M.")
     n = _witness_set(b, "N.")
     p = _witness_set(c, "P.")

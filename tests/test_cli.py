@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from continuum import bijection, binary_streams, finite_sets
+from continuum import bijection, binary_streams, cli, errors, finite_sets
 from continuum.cli import build_parser, main, run
 
 EQ3_WORDS = "000\n001\n010\n011\n100\n101\n110\n111"
@@ -109,8 +109,57 @@ def test_laws_budget_exceeded_is_domain_error():
         ["laws", "--check", "CURRY", "--a", "3", "--b", "3", "--c", "3", "--budget", "10"]
     )
     assert result.exit_code == 2
-    assert result.diagnostics == "BudgetExceeded: CURRY with a=3 b=3 c=3 would enumerate 39402 items (budget 10)"
+    assert result.diagnostics == "BudgetExceeded: CURRY with a=3 b=3 c=3 would enumerate 39411 items (budget 10)"
     assert result.output == ""
+
+
+def test_laws_all_refuses_before_building_any_law(monkeypatch):
+    # ADD_EXP 2,9,9 is within the default budget and MUL_EXP 2,9,9 is not:
+    # every law is checked before the first is built.
+    def unreachable(*sets):
+        raise AssertionError("ADD_EXP was built")
+
+    monkeypatch.setitem(finite_sets._LAW_BUILDERS, "ADD_EXP", unreachable)
+    start = time.perf_counter()
+    result = run(["laws", "--check", "all", "--a", "2", "--b", "9", "--c", "9"])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert result.output == ""
+    assert result.diagnostics.startswith("BudgetExceeded: MUL_EXP with a=2 b=9 c=9 would enumerate ")
+
+
+def test_laws_count_the_witness_labels():
+    # a + b + c witness labels and b + c in N (+) P, beside 4 coverings and pairs.
+    result = run(["laws", "--check", "ADD_EXP", "--a", "1", "--b", "1000000", "--c", "0"])
+    assert result.exit_code == 2
+    assert result.diagnostics == (
+        "BudgetExceeded: ADD_EXP with a=1 b=1000000 c=0 would enumerate 2000005 items (budget 1000000)"
+    )
+    assert result.output == ""
+
+
+def test_every_domain_error_exits_2_with_one_line(monkeypatch):
+    raised = [
+        errors.OutOfRange("m"),
+        errors.DisjointnessViolation(("x", "y")),
+        errors.DomainViolation("m"),
+        errors.ParseError("m", position=3),
+        errors.BudgetExceeded("m"),
+    ]
+    classes = {cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, Exception)}
+    assert classes - {errors.DomainError} == {type(err) for err in raised}
+    assert all(issubclass(cls, errors.DomainError) for cls in classes)
+    for err in raised:
+
+        def handler(args, err=err):
+            raise err
+
+        # The parser binds each handler when it is built, so build a fresh one.
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "_cmd_classify", handler)
+        result = run(["classify", "1/2"])
+        assert result == cli.CommandResult(2, diagnostics=f"{type(err).__name__}: {err}")
+        assert "\n" not in result.diagnostics
 
 
 @pytest.mark.parametrize(

@@ -255,12 +255,14 @@ def test_budget_guard():
 
 
 def _exact_cost(law_id, a, b, c):
-    # The items each law's witness enumerates, by plain integer powers.
+    # The items each law's witness enumerates, by plain integer powers: the
+    # witness sets M, N, P (a + b + c labels), N (+) P for ADD_EXP (b + c),
+    # and the coverings, pairs and products.
     if law_id == "ADD_EXP":
-        return a**b + a**c + a**b * a**c + a ** (b + c)
+        return a + b + c + (b + c) + a**b + a**c + a**b * a**c + a ** (b + c)
     if law_id == "MUL_EXP":
-        return a**c + b**c + a * b + a**c * b**c + (a * b) ** c
-    return a**b + (a**b) ** c + c * b + a ** (b * c)
+        return a + b + c + a**c + b**c + a * b + a**c * b**c + (a * b) ** c
+    return a + b + c + a**b + (a**b) ** c + c * b + a ** (b * c)
 
 
 def _refused_count(check, exact, budget):
