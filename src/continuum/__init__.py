@@ -5,7 +5,7 @@ Four layers, each fully computable:
 * :mod:`continuum.finite_sets` -- finite sets, covering-sets, cardinal
   arithmetic by enumeration, exponent-law witnesses.
 * :mod:`continuum.dyadic` -- exact rationals on [0, 1] and the
-  enumeration of the doubly-represented dyadic points.
+  indexing of the doubly-represented dyadic points.
 * :mod:`continuum.binary_streams` -- eventually periodic binary streams
   with exact valuation, canonical forms and dual-representation pairing.
 * :mod:`continuum.bijection` -- the explicit Hilbert-hotel bijection
@@ -35,13 +35,11 @@ from .binary_streams import (
     enumerate_canonical,
     enumerate_streams,
     expansions_of,
-    format_stream,
     parse_stream,
     value,
 )
 from .dyadic import (
     Dyadic,
-    DualDyadic,
     Endpoint,
     OtherRational,
     PointClass,
@@ -82,7 +80,6 @@ __all__ = [
     "DisjointnessViolation",
     "DomainViolation",
     "Dyadic",
-    "DualDyadic",
     "EPBS",
     "Endpoint",
     "FiniteSet",
@@ -106,7 +103,6 @@ __all__ = [
     "enumerate_canonical",
     "enumerate_streams",
     "expansions_of",
-    "format_stream",
     "forward",
     "index_of",
     "inverse",

@@ -39,7 +39,7 @@ from .binary_streams import (
     expansions_of,
     value,
 )
-from .errors import BudgetExceeded, DomainViolation
+from .errors import BudgetExceeded, DomainViolation, _excerpt
 from .finite_sets import DEFAULT_BUDGET, cardinal_pow
 
 _IN_BS, _IN_BX = StreamClass.IN_BS, StreamClass.IN_BX
@@ -88,7 +88,7 @@ def forward(stream: EPBS) -> EPBS:
     """
     canonical = canonicalize(stream)
     if classify_stream(canonical) is _IN_BS:
-        raise DomainViolation(f"{canonical} is a redundant stream, outside the domain")
+        raise DomainViolation(f"{_excerpt(str(canonical))} is a redundant stream, outside the domain")
     position = t_index(canonical)
     if position is None:
         return canonical

@@ -80,8 +80,8 @@ class EPBS:
         repeats = max(count - len(self.preamble), 0) // len(self.period) + 1
         return (self.preamble + self.period * repeats)[:count]
 
-    def __str__(self) -> str:
-        return format_stream(self)
+    def __str__(self) -> str:  # the literal that parse_stream reads back
+        return f"{self.preamble}({self.period})"
 
 
 class StreamClass(Enum):
@@ -114,11 +114,6 @@ def parse_stream(text: str) -> EPBS:
         raise ParseError("period must be nonempty", position=open_at + 1)
     bad = body.translate(_NOT_BITS)  # not empty: EPBS refused these parts
     raise ParseError(f"invalid period character {bad[0]!r}", position=open_at + 1 + body.find(bad[0]))
-
-
-def format_stream(stream: EPBS) -> str:
-    """Inverse of :func:`parse_stream`."""
-    return f"{stream.preamble}({stream.period})"
 
 
 def _primitive(period: str) -> str:
@@ -220,9 +215,10 @@ def period_bound(q: Fraction) -> int:
     """b' - 1 for reduced q = a/b with b = 2^k * b' and b' odd.
 
     The period of q's expansion has ord_b'(2) <= b' - 1 bits, so this
-    bounds it before the order is searched; it is 0 for a dyadic q.
+    bounds it before the order is searched; it is 0 for a dyadic q. A q
+    outside [0, 1] is refused first, as :func:`expansions_of` refuses it.
     """
-    denominator = q.denominator
+    denominator = ensure_unit_interval(q).denominator
     return (denominator >> ((denominator & -denominator).bit_length() - 1)) - 1
 
 

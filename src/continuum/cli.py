@@ -84,8 +84,8 @@ def _cmd_expand(args) -> str:
 
 def _cmd_classify(args) -> str:
     point = dyadic.classify(dyadic.parse_rational(args.rational))
-    if isinstance(point, dyadic.DualDyadic):
-        return f"DualDyadic nu={point.point.odd_index} mu={point.point.exponent}"
+    if isinstance(point, dyadic.Dyadic):
+        return f"DualDyadic nu={point.odd_index} mu={point.exponent}"
     if isinstance(point, dyadic.Endpoint):
         return f"Endpoint {point.value}"
     return "OtherRational"

@@ -15,15 +15,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import OutOfRange, ParseError
+from .errors import OutOfRange, ParseError, _excerpt
 
 _RATIONAL_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
-_EXCERPT = 20  # characters of a bad literal quoted in a diagnostic
 
 
 @dataclass(frozen=True)
 class Dyadic:
-    """A point (2v+1)/2^u strictly inside the unit interval.
+    """Classification: a point (2v+1)/2^u of (0, 1), with exactly two binary expansions.
 
     ``numerator`` is the odd number 2v+1; ``exponent`` is u >= 1.
     """
@@ -54,24 +53,8 @@ class Dyadic:
             raise ValueError(f"{q} is not a dyadic point of (0, 1)")
         return cls(q.numerator, q.denominator.bit_length() - 1)
 
-    @classmethod
-    def from_index(cls, k: int) -> "Dyadic":
-        """The k-th point of the fixed enumeration (inverse of index_of)."""
-        if k < 0:
-            raise ValueError("index must be nonnegative")
-        exponent = (k + 1).bit_length()
-        numerator = 2 * (k - ((1 << (exponent - 1)) - 1)) + 1
-        return cls(numerator, exponent)
-
     def __str__(self) -> str:
         return str(self.fraction)
-
-
-@dataclass(frozen=True)
-class DualDyadic:
-    """Classification: the point has exactly two binary expansions."""
-
-    point: Dyadic
 
 
 @dataclass(frozen=True)
@@ -90,7 +73,7 @@ class OtherRational:
     """Classification: a uniquely-represented interior rational."""
 
 
-PointClass = DualDyadic | Endpoint | OtherRational
+PointClass = Dyadic | Endpoint | OtherRational
 
 
 def _integer(match: re.Match, group: int) -> int:
@@ -102,26 +85,19 @@ def _integer(match: re.Match, group: int) -> int:
         raise ParseError(message, position=match.start(group)) from None
 
 
-def _excerpt(text: str) -> str:
-    # A diagnostic quotes at most a short prefix of the input.
-    if len(text) <= _EXCERPT:
-        return repr(text)
-    return f"{text[:_EXCERPT]!r}... ({len(text)} characters)"
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` (nonnegative ASCII integers, q > 0)."""
     match = _RATIONAL_RE.fullmatch(text)
     if match is None:
         prefix = _RATIONAL_RE.match(text)
         raise ParseError(
-            f"not a rational literal: {_excerpt(text)}",
+            f"not a rational literal: {_excerpt(text, repr)}",
             position=prefix.end() if prefix else 0,
         )
     numerator = _integer(match, 1)
     denominator = _integer(match, 2) if match.group(2) is not None else 1
     if denominator == 0:
-        raise ParseError(f"zero denominator in {_excerpt(text)}", position=match.start(2))
+        raise ParseError(f"zero denominator in {_excerpt(text, repr)}", position=match.start(2))
     return Fraction(numerator, denominator)
 
 
@@ -136,7 +112,7 @@ def ensure_unit_interval(q: Fraction | int) -> Fraction:
             raise TypeError(f"expected a Fraction or an int, got {type(q).__name__}")
         q = Fraction(q)
     if not 0 <= q.numerator <= q.denominator:
-        raise OutOfRange(f"{q} is not in [0, 1]")
+        raise OutOfRange(f"{_excerpt(str(q))} is not in [0, 1]")
     return q
 
 
@@ -146,7 +122,7 @@ def classify(q: Fraction) -> PointClass:
     if q == 0 or q == 1:
         return Endpoint(int(q))
     if q.denominator & (q.denominator - 1) == 0:
-        return DualDyadic(Dyadic.from_fraction(q))
+        return Dyadic.from_fraction(q)
     return OtherRational()
 
 

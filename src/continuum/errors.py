@@ -6,6 +6,17 @@ prints ``<ClassName>: <message>`` on one line and exits with code 2.
 
 from __future__ import annotations
 
+from typing import Callable
+
+_EXCERPT = 20  # characters of an input quoted in a diagnostic
+
+
+def _excerpt(text: str, show: Callable[[str], str] = str) -> str:
+    """``show(text)``; past 20 characters, ``show`` of the first 20 and the length."""
+    if len(text) <= _EXCERPT:
+        return show(text)
+    return f"{show(text[:_EXCERPT])}... ({len(text)} characters)"
+
 
 class DomainError(Exception):
     """Base of every domain error; each also keeps a builtin base."""

@@ -23,8 +23,6 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExceeded, DisjointnessViolation
 
-LAW_IDS = ("ADD_EXP", "MUL_EXP", "CURRY")
-
 DEFAULT_BUDGET = 1_000_000
 
 
@@ -340,6 +338,7 @@ _LAW_BUILDERS = {
     "MUL_EXP": _mul_exp_witness,
     "CURRY": _curry_witness,
 }
+LAW_IDS = tuple(_LAW_BUILDERS)
 
 
 def verify_exponent_law(

@@ -18,11 +18,10 @@ from continuum.binary_streams import (
     enumerate_canonical,
     enumerate_streams,
     expansions_of,
-    format_stream,
     parse_stream,
     value,
 )
-from continuum.dyadic import DualDyadic, classify
+from continuum.dyadic import Dyadic, classify
 from continuum.errors import OutOfRange, ParseError
 
 bits = st.text("01", max_size=8)
@@ -135,7 +134,7 @@ PARSE_CASES = [
 def test_parse_stream(text, pre, per):
     stream = parse_stream(text)
     assert stream.preamble == pre and stream.period == per
-    assert format_stream(stream) == text
+    assert str(stream) == text
 
 
 @pytest.mark.parametrize(
@@ -159,7 +158,7 @@ def test_parse_stream_errors_carry_position(text, position):
 
 @given(streams)
 def test_format_parse_round_trip(stream):
-    assert parse_stream(format_stream(stream)) == stream
+    assert parse_stream(str(stream)) == stream
 
 
 def test_epbs_validation():
@@ -280,7 +279,7 @@ def test_epbs_check_agrees_with_the_one_at_a_time_oracle(preamble, period):
 def test_canonicalize_examples(raw, expected):
     before = parse_stream(raw)
     after = canonicalize(before)
-    assert format_stream(after) == expected
+    assert str(after) == expected
     assert before.bits(64) == after.bits(64)  # value-preserving, bit oracle
 
 
@@ -397,15 +396,21 @@ def test_value_in_unit_interval(stream):
 # ---------------------------------------------------------------------------
 
 def test_expansions_examples():
-    assert [format_stream(e) for e in expansions_of(Fraction(3, 8))] == ["011(0)", "010(1)"]
-    assert [format_stream(e) for e in expansions_of(Fraction(1, 3))] == ["(01)"]
-    assert [format_stream(e) for e in expansions_of(Fraction(0))] == ["(0)"]
-    assert [format_stream(e) for e in expansions_of(Fraction(1))] == ["(1)"]
+    assert [str(e) for e in expansions_of(Fraction(3, 8))] == ["011(0)", "010(1)"]
+    assert [str(e) for e in expansions_of(Fraction(1, 3))] == ["(01)"]
+    assert [str(e) for e in expansions_of(Fraction(0))] == ["(0)"]
+    assert [str(e) for e in expansions_of(Fraction(1))] == ["(1)"]
 
 
 def test_expansions_out_of_range():
     with pytest.raises(OutOfRange):
         expansions_of(Fraction(9, 8))
+
+
+def test_period_bound_refuses_a_rational_out_of_range():
+    with pytest.raises(OutOfRange, match=r"^5/3 is not in \[0, 1\]$"):
+        binary_streams.period_bound(Fraction(5, 3))
+    assert binary_streams.period_bound(Fraction(1, 12)) == 2
 
 
 def test_expansions_refuse_a_float():
@@ -609,7 +614,7 @@ def test_class_split_matches_dual_route():
 
 
 def test_dual_of_examples():
-    assert format_stream(dual_of(parse_stream("1(0)"))) == "0(1)"
+    assert str(dual_of(parse_stream("1(0)"))) == "0(1)"
     assert dual_of(parse_stream("(01)")) is None
     assert dual_of(parse_stream("(0)")) is None
     assert dual_of(parse_stream("(1)")) is None
@@ -619,7 +624,7 @@ def dual_by_value(stream):
     """The value-based route: classify the stream's value, then expand it."""
     canonical = canonicalize(stream)
     point = value(canonical)
-    if not isinstance(classify(point), DualDyadic):
+    if not isinstance(classify(point), Dyadic):
         return None
     first, second = expansions_of(point)
     return second if canonical == first else first
@@ -647,7 +652,7 @@ def test_dual_of_values_only_dyadic_streams(monkeypatch):
         ("01(1)", "1(0)"),
         (long_chain + "(0)", long_chain[:-1] + "0(1)"),
     ):
-        assert format_stream(dual_of(parse_stream(text))) == dual
+        assert str(dual_of(parse_stream(text))) == dual
 
 
 def test_dual_of_is_an_involution():

@@ -206,6 +206,24 @@ def test_expand_out_of_range():
     assert result.diagnostics.startswith("OutOfRange:")
 
 
+@pytest.mark.parametrize("budget", [[], ["--budget", "1"], ["--budget", "1000002"]])
+def test_expand_checks_the_range_before_the_cost(budget):
+    # Out of [0, 1] and with a period bound over the default budget: the
+    # range is checked first, so the budget does not change the error.
+    result = run(["expand", "1000004/1000003", *budget])
+    assert result.exit_code == 2
+    assert result.output == ""
+    assert result.diagnostics == "OutOfRange: 1000004/1000003 is not in [0, 1]"
+
+
+def test_expand_clips_a_long_rational_in_its_out_of_range_line():
+    numerator = "9" * 4000
+    result = run(["expand", f"{numerator}/1"])
+    assert result.exit_code == 2
+    assert result.diagnostics == f"OutOfRange: {numerator[:20]}... (4000 characters) is not in [0, 1]"
+    assert run(["expand", "5/4"]).diagnostics == "OutOfRange: 5/4 is not in [0, 1]"
+
+
 def test_expand_malformed_rational():
     result = run(["expand", "three/8"])
     assert result.exit_code == 2
@@ -347,6 +365,18 @@ def test_map_forward_domain_violation():
     result = run(["map", "forward", "0(1)"])
     assert result.exit_code == 2
     assert result.diagnostics.startswith("DomainViolation:")
+
+
+def test_map_forward_clips_a_long_stream_in_its_domain_violation_line():
+    assert run(["map", "forward", "0(1)"]).diagnostics == (
+        "DomainViolation: 0(1) is a redundant stream, outside the domain"
+    )
+    preamble = format(random.Random(1).getrandbits(10**6), "b").zfill(10**6)
+    result = run(["map", "forward", preamble + "0(1)"])
+    assert result.exit_code == 2
+    assert result.output == ""
+    assert len(result.diagnostics) < 120
+    assert result.diagnostics.startswith(f"DomainViolation: {preamble[:20]}... ")
 
 
 # ---------------------------------------------------------------------------

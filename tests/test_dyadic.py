@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from continuum.dyadic import (
     Dyadic,
-    DualDyadic,
     Endpoint,
     OtherRational,
     classify,
@@ -14,11 +13,12 @@ from continuum.dyadic import (
     parse_rational,
 )
 from continuum.errors import OutOfRange, ParseError
+from oracles import dyadic_at
 
 
 def enumerate_duals(count):
     """The first ``count`` dyadic points in the fixed order, by index."""
-    return [Dyadic.from_index(k) for k in range(count)]
+    return [dyadic_at(k) for k in range(count)]
 
 
 def brute_force_duals(mu_max):
@@ -97,7 +97,7 @@ def test_dyadic_accessors():
 # ---------------------------------------------------------------------------
 
 def test_classify_examples():
-    assert classify(Fraction(3, 8)) == DualDyadic(Dyadic(3, 3))
+    assert classify(Fraction(3, 8)) == Dyadic(3, 3)
     assert classify(Fraction(0)) == Endpoint(0)
     assert classify(Fraction(1)) == Endpoint(1)
     assert classify(Fraction(1, 3)) == OtherRational()
@@ -152,7 +152,7 @@ def test_classify_partition_denominators_up_to_256():
             q = Fraction(num, den)
             point = classify(q)
             kinds = [
-                isinstance(point, DualDyadic),
+                isinstance(point, Dyadic),
                 isinstance(point, Endpoint),
                 isinstance(point, OtherRational),
             ]
@@ -160,7 +160,7 @@ def test_classify_partition_denominators_up_to_256():
             # Oracle: dual exactly when the reduced denominator is a
             # power of two and the point is interior.
             expected_dual = 0 < q < 1 and _is_power_of_two(q.denominator)
-            assert isinstance(point, DualDyadic) == expected_dual
+            assert isinstance(point, Dyadic) == expected_dual
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,7 @@ def test_index_of_examples(point, expected):
 def test_index_closed_form_matches_enumeration_position():
     for position, point in enumerate(brute_force_duals(12)):
         assert index_of(point) == position
-        assert Dyadic.from_index(position) == point
+        assert dyadic_at(position) == point
 
 
 def test_enumeration_is_injective():
@@ -203,7 +203,7 @@ def test_enumeration_is_injective():
 
 @given(st.integers(0, 10**9))
 def test_index_round_trip(k):
-    assert index_of(Dyadic.from_index(k)) == k
+    assert index_of(dyadic_at(k)) == k
 
 
 @given(st.integers(1, 30))
