@@ -203,14 +203,11 @@ def run(argv: list[str]) -> CommandResult:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return CommandResult(0, output=args.handler(args))
     except _UsageError as err:
         return CommandResult(1, diagnostics=str(err))
     except SystemExit as err:  # --help prints and exits 0
         return CommandResult(int(err.code or 0))
-    try:
-        return CommandResult(0, output=args.handler(args))
-    except _UsageError as err:
-        return CommandResult(1, diagnostics=str(err))
     except DomainError as err:
         return CommandResult(2, diagnostics=f"{type(err).__name__}: {err}")
 

@@ -31,7 +31,7 @@ class DisjointnessViolation(DomainError, ValueError):
 
     def __init__(self, common: tuple[str, ...]):
         self.common = tuple(common)
-        super().__init__(f"sets share labels: {', '.join(self.common)}")
+        super().__init__(f"sets share labels: {_excerpt(', '.join(self.common))}")
 
 
 class DomainViolation(DomainError, ValueError):

@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -411,6 +412,23 @@ def test_period_bound_refuses_a_rational_out_of_range():
     with pytest.raises(OutOfRange, match=r"^5/3 is not in \[0, 1\]$"):
         binary_streams.period_bound(Fraction(5, 3))
     assert binary_streams.period_bound(Fraction(1, 12)) == 2
+
+
+@pytest.mark.parametrize("refuse", [expansions_of, binary_streams.period_bound, classify])
+def test_a_huge_rational_out_of_range_is_named_by_its_bit_lengths(refuse):
+    # The numerator has 5001 digits, past the interpreter's default limit on int to str.
+    message = r"^a 16610-bit numerator over a 2-bit denominator is not in \[0, 1\]$"
+    with pytest.raises(OutOfRange, match=message):
+        refuse(Fraction(10**5000 + 1, 3))
+
+
+def test_a_huge_rational_out_of_range_is_refused_without_writing_it_in_decimal():
+    # With the limit on int to str off, str() of this numerator takes seconds.
+    q = Fraction((1 << 2_000_000) + 1, 3)
+    start = time.perf_counter()
+    with pytest.raises(OutOfRange, match=r"^a 2000001-bit numerator over a 2-bit denominator "):
+        expansions_of(q)
+    assert time.perf_counter() - start < 1
 
 
 def test_expansions_refuse_a_float():

@@ -84,6 +84,17 @@ def test_disjoint_union_rejects_overlap():
     assert err.value.common == ("a", "c")
 
 
+def test_disjointness_violation_clips_its_message_and_keeps_every_label():
+    with pytest.raises(DisjointnessViolation) as err:
+        disjoint_union(make_set("ab"), make_set("ba"))
+    assert str(err.value) == "sets share labels: a, b"
+    labels = FiniteSet(tuple(str(i) for i in range(100_000)))
+    with pytest.raises(DisjointnessViolation) as err:
+        disjoint_union(labels, labels)
+    assert str(err.value) == "sets share labels: 0, 1, 2, 3, 4, 5, 6,... (688888 characters)"
+    assert len(err.value.common) == 100_000
+
+
 @given(labels, labels)
 def test_disjoint_union_succeeds_iff_disjoint(left_raw, right_raw):
     left, right = make_set(left_raw), make_set(right_raw)
