@@ -103,13 +103,11 @@ def inverse(stream: EPBS) -> EPBS:
     output is always canonical and never redundant.
     """
     canonical = canonicalize(stream)
-    redundant = _dyadic_index(canonical, "1")
-    if redundant is not None:
-        return t_enumerate(2 * redundant)
-    position = _dyadic_index(canonical, "0")
-    if position is not None:
-        return t_enumerate(2 * position + 1)
-    return canonical
+    tail = canonical.period  # s_k ends in (1), t_k in (0)
+    position = _dyadic_index(canonical, tail) if len(tail) == 1 else None
+    if position is None:
+        return canonical
+    return t_enumerate(2 * position + (tail == "0"))
 
 
 JUSTIFICATION_DEFINITION = "Definition"

@@ -167,6 +167,7 @@ def value(stream: EPBS) -> Fraction:
     return Fraction(numerator, cycle << len(stream.preamble))
 
 
+@functools.lru_cache(maxsize=1024)
 def _order_of_two(modulus: int) -> int:
     """The multiplicative order of 2 modulo an odd ``modulus`` > 1.
 
@@ -175,40 +176,28 @@ def _order_of_two(modulus: int) -> int:
     s = isqrt(modulus):
 
     * Baby steps: double up to s times, so an order <= s costs what
-      plain doubling costs and builds no table.
-    * Giant steps: an order > s makes 2^0 .. 2^s distinct, so they index
-      a table by residue. Block i = 1, 2, ... looks up 2^(-i(s+1)); a hit
+      plain doubling costs, and table each 2^j, 0 <= j <= s, by residue.
+    * Giant steps: an order > s makes 2^0 .. 2^s distinct, so the table
+      holds each once. Block i = 1, 2, ... looks up 2^(-i(s+1)); a hit
       at 2^j means 2^(i(s+1) + j) = 1. Block i holds the s + 1 exponents
       from i(s+1), at most one multiple of an order > s, so the first hit
       is the order. It is below modulus < (s+1)^2: at most s blocks.
+
+    The memo keeps one int per modulus: the trace's tens of thousands of
+    expansions meet only a few dozen moduli.
     """
     stride = math.isqrt(modulus) + 1
-    residue = 1
-    for order in range(1, stride):
+    table, residue = {1: 0}, 1
+    for exponent in range(1, stride):
         residue = residue * 2 % modulus
         if residue == 1:
-            return order
-    table = {}
-    residue = 1
-    for exponent in range(stride):
+            return exponent
         table[residue] = exponent
-        residue = residue * 2 % modulus
-    giant = pow(residue, -1, modulus)
+    giant = pow(residue * 2, -1, modulus)
     block, target = 1, giant
     while target not in table:
         block, target = block + 1, target * giant % modulus
     return block * stride + table[target]
-
-
-@functools.lru_cache(maxsize=1024)
-def _period_length(modulus: int) -> int:
-    """:func:`_order_of_two`, found once per odd modulus and kept.
-
-    Only the int is kept, never 2^P - 1: for a long period that is a
-    P-bit number per modulus. The trace's tens of thousands of
-    expansions meet only a few dozen moduli.
-    """
-    return _order_of_two(modulus)
 
 
 def period_bound(q: Fraction) -> int:
@@ -239,7 +228,7 @@ def expansions_of(q: Fraction) -> list[EPBS]:
         return [EPBS("", "1")]
     pre_len = (q.denominator & -q.denominator).bit_length() - 1
     odd = q.denominator >> pre_len
-    per_len = _period_length(odd) if odd > 1 else 1
+    per_len = _order_of_two(odd) if odd > 1 else 1
     cycle = (1 << per_len) - 1
     head, tail = divmod(q.numerator * (cycle // odd), cycle)
     bits = format(head << per_len | tail, "b").zfill(pre_len + per_len)

@@ -94,14 +94,19 @@ def _cmd_classify(args) -> str:
 def _cmd_stream(args) -> str:
     stream = binary_streams.parse_stream(args.literal)
     if args.what == "value":
-        point = binary_streams.value(stream)
-        try:
-            return str(point)
-        except ValueError:  # more decimal digits than str() may write for an int
-            raise BudgetExceeded(
-                f"stream value has a {point.denominator.bit_length()}-bit denominator, over the "
-                f"interpreter's limit of {sys.get_int_max_str_digits()} decimal digits"
-            ) from None
+        # A canonical w(p) has exactly 2^|w| in its reduced denominator, so a long w is refused
+        # before the value is built; 2^(3 * limit) < 10^limit, so short w skip computing 10^limit.
+        canonical, limit = binary_streams.canonicalize(stream), finite_sets._digit_limit()
+        power = len(canonical.preamble)
+        if limit and power > 3 * limit and power >= (10**limit).bit_length():
+            found = f"denominator divisible by 2^{power}"
+        else:
+            point = binary_streams.value(canonical)
+            try:
+                return str(point)
+            except ValueError:  # more decimal digits than str() may write for an int
+                found = f"{point.denominator.bit_length()}-bit denominator"
+        raise BudgetExceeded(f"stream value has a {found}, over the interpreter's limit of {limit} decimal digits")
     if args.what == "canon":
         return str(binary_streams.canonicalize(stream))
     if args.what == "member":

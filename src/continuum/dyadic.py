@@ -54,9 +54,6 @@ class Dyadic:
             raise ValueError(f"{q} is not a dyadic point of (0, 1)")
         return cls(q.numerator, q.denominator.bit_length() - 1)
 
-    def __str__(self) -> str:
-        return str(self.fraction)
-
 
 @dataclass(frozen=True)
 class Endpoint:
@@ -115,7 +112,12 @@ def ensure_unit_interval(q: Fraction | int) -> Fraction:
     if not 0 <= q.numerator <= q.denominator:
         bits = q.numerator.bit_length(), q.denominator.bit_length()
         if max(bits) <= _DECIMAL_BITS:
-            raise OutOfRange(f"{_excerpt(str(q))} is not in [0, 1]")
+            try:
+                text = str(q)
+            except ValueError:  # more digits than a lowered limit lets str() write
+                pass
+            else:
+                raise OutOfRange(f"{_excerpt(text)} is not in [0, 1]")
         # Writing a longer part in decimal is refused or takes quadratic time.
         raise OutOfRange("a %d-bit numerator over a %d-bit denominator is not in [0, 1]" % bits)
     return q
@@ -127,7 +129,7 @@ def classify(q: Fraction) -> PointClass:
     if q == 0 or q == 1:
         return Endpoint(int(q))
     if q.denominator & (q.denominator - 1) == 0:
-        return Dyadic.from_fraction(q)
+        return Dyadic(q.numerator, q.denominator.bit_length() - 1)
     return OtherRational()
 
 

@@ -41,11 +41,9 @@ class DomainViolation(DomainError, ValueError):
 class ParseError(DomainError, ValueError):
     """Malformed literal. ``position`` is the offset of the failure."""
 
-    def __init__(self, message: str, position: int | None = None):
+    def __init__(self, message: str, position: int):
         self.position = position
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
+        super().__init__(f"{message} (at position {position})")
 
 
 class BudgetExceeded(DomainError, RuntimeError):

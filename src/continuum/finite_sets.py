@@ -212,6 +212,11 @@ def cardinal_pow(a: int, b: int) -> int:
     return len(covering_set(_witness_set(b), _witness_set(a)))
 
 
+def _digit_limit() -> int:
+    """str()'s limit on the decimal digits of an int: 0 when off or, before Python 3.10.7, absent."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _require_within_budget(what: str, budget: int, count: Callable[[Callable], int]) -> None:
     """Raise :class:`BudgetExceeded` when ``count(power)`` items pass ``budget``.
 
@@ -223,7 +228,7 @@ def _require_within_budget(what: str, budget: int, count: Callable[[Callable], i
     names the count in decimal when it is below the cap and str() may
     write it, else as the lower bound ``more than 2^k``.
     """
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    digits = _digit_limit() or 4300
     cap = max(budget.bit_length(), 4 * digits) + 1
 
     def power(base: int, exponent: int) -> int:

@@ -497,16 +497,16 @@ def _order_by_doubling(modulus):
 
 
 def test_order_of_two_matches_doubling_below_2_to_13():
+    binary_streams._order_of_two.cache_clear()
     for modulus in range(3, 2**13, 2):
         assert binary_streams._order_of_two(modulus) == _order_by_doubling(modulus), modulus
 
 
-def test_period_length_memo_matches_the_search_cold_and_warm():
-    memo = binary_streams._period_length
+def test_order_of_two_memo_matches_doubling_cold_and_warm():
+    memo = binary_streams._order_of_two
     memo.cache_clear()
     for modulus in range(3, 2**13, 2):
         expected = _order_by_doubling(modulus)
-        assert binary_streams._order_of_two(modulus) == expected, modulus
         misses = memo.cache_info().misses
         assert memo(modulus) == expected and memo.cache_info().misses == misses + 1, modulus
         hits = memo.cache_info().hits
@@ -514,7 +514,7 @@ def test_period_length_memo_matches_the_search_cold_and_warm():
 
 
 def test_expansions_equal_cold_and_warm_below_400():
-    memo = binary_streams._period_length
+    memo = binary_streams._order_of_two
     for den in range(1, 400):
         for num in range(0, den + 1):
             if math.gcd(num, den) == 1:
@@ -524,24 +524,18 @@ def test_expansions_equal_cold_and_warm_below_400():
                 assert expansions_of(q) == cold, q
 
 
-def test_expansions_search_the_order_once_per_odd_modulus(monkeypatch):
-    searched = []
-
-    def recorded(modulus):
-        searched.append(modulus)
-        return _order_by_doubling(modulus)
-
-    binary_streams._period_length.cache_clear()
-    monkeypatch.setattr(binary_streams, "_order_of_two", recorded)
+def test_expansions_search_the_order_once_per_odd_modulus():
+    memo = binary_streams._order_of_two
+    memo.cache_clear()
     for den in (7, 14, 28, 21, 42):
         for num in range(1, den):
             if math.gcd(num, den) == 1:
                 _assert_expansions_match_long_division(Fraction(num, den))
-    assert searched == [7, 21]
+    assert memo.cache_info().misses == 2  # b' = 7 and b' = 21
 
 
-def test_period_length_memo_stays_within_its_size():
-    memo = binary_streams._period_length
+def test_order_of_two_memo_stays_within_its_size():
+    memo = binary_streams._order_of_two
     memo.cache_clear()
     maxsize = memo.cache_info().maxsize
     for modulus in range(3, 2 * (maxsize + 100), 2):
@@ -554,9 +548,9 @@ def giant_steps(monkeypatch):
     """The moduli the order search took giant steps for.
 
     Only the giant steps call ``pow``, for the stride's inverse. The
-    memo in front of the search starts empty, so every modulus is searched.
+    search's memo starts empty, so every modulus is searched.
     """
-    binary_streams._period_length.cache_clear()
+    binary_streams._order_of_two.cache_clear()
     moduli = []
 
     def recorded_pow(base, exponent, modulus):

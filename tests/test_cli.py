@@ -234,8 +234,7 @@ def test_expand_over_default_budget_refused_before_the_order_search(monkeypatch)
     def searched(modulus):
         raise AssertionError(f"searched the order of 2 modulo {modulus}")
 
-    # A remembered period length would answer without the search.
-    binary_streams._period_length.cache_clear()
+    # Patching replaces the memoized search, so nothing remembered answers either.
     monkeypatch.setattr(binary_streams, "_order_of_two", searched)
     for rational in ("1/1000003", "5/2000006", f"1/{1000003 << 40}"):
         result = run(["expand", rational])
@@ -347,6 +346,27 @@ def test_stream_value_over_the_digit_limit_is_refused():
         result = run(["stream", "value", under])
         assert result.exit_code == 0
         assert Fraction(result.output) == binary_streams.value(binary_streams.parse_stream(under))
+
+
+def test_stream_value_refuses_a_long_preamble_before_building_the_value(monkeypatch):
+    def built(stream):
+        raise AssertionError("built the value of a stream whose value is refused")
+
+    # 2^14284 < 10^4300 < 2^14285: a canonical w1(0) of 14 285 bits has a
+    # 4301-digit denominator, one of 14 284 bits a 4300-digit one.
+    with _int_digit_limit(4300):
+        printed = run(["stream", "value", "1" * 14284 + "(0)"])
+        assert printed.exit_code == 0 and printed.output.endswith(f"/{2**14284}")
+        # Canonicalized first: the long raw preamble is absorbed into (0).
+        assert run(["stream", "value", "0" * 20000 + "(0)"]).output == "0"
+        monkeypatch.setattr(binary_streams, "value", built)
+        bits = seeded_bits(1, 2 * 10**6)
+        for literal in ("1" * 14285 + "(0)", f"{bits[: 10**6]}({bits[10**6 :]})"):
+            result = run(["stream", "value", literal])
+            assert result.exit_code == 2
+            assert result.output == ""
+            assert result.diagnostics.startswith("BudgetExceeded: stream value has a denominator divisible by 2^")
+            assert result.diagnostics.endswith("over the interpreter's limit of 4300 decimal digits")
 
 
 def test_stream_parse_error():

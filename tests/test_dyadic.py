@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,22 @@ def test_ensure_unit_interval_agrees_with_fraction_order(q):
     else:
         with pytest.raises(OutOfRange):
             ensure_unit_interval(q)
+
+
+def test_ensure_unit_interval_under_a_lowered_digit_limit_names_bit_lengths():
+    # 10^1000 has 3322 bits, under the 13 288 quoted in decimal, but 1001
+    # digits: more than str() writes at a limit of 640.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no limit on int to str")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(OutOfRange, match=r"^a 3322-bit numerator over a 1-bit denominator is not in \[0, 1\]$"):
+            ensure_unit_interval(Fraction(10**1000))
+        with pytest.raises(OutOfRange, match=r"^5/4 is not in \[0, 1\]$"):
+            ensure_unit_interval(Fraction(5, 4))
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def _is_power_of_two(n):
