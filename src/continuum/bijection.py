@@ -39,7 +39,7 @@ from .binary_streams import (
     expansions_of,
     value,
 )
-from .errors import BudgetExceeded, DomainViolation, _excerpt
+from .errors import BudgetExceeded, DomainViolation, _excerpt, _quantity
 from .finite_sets import DEFAULT_BUDGET, cardinal_pow
 
 _IN_BS, _IN_BX = StreamClass.IN_BS, StreamClass.IN_BX
@@ -284,12 +284,12 @@ _STEPS = (
 
 
 def _check_budget(mu_max: int, budget: int) -> None:
-    # |B| > 2^(μ-1), as T alone has 2^(μ-1) - 1 streams, so a bound past
-    # the budget's bit length is refused without counting.
-    size = count_canonical(mu_max) if mu_max <= budget.bit_length() else None
-    if size is None or size > budget:
-        found = size if size is not None else f"more than 2^{mu_max - 1}"
-        raise BudgetExceeded(f"trace up to size {mu_max} would check {found} streams (budget {budget})")
+    # |B| > 2^(μ-1), as B_S and T have 2^(μ-1) - 1 streams each, so a bound
+    # past the budget's bit length is refused with that bound, uncounted.
+    counted = mu_max <= budget.bit_length()
+    size = count_canonical(mu_max) if counted else (1 << (mu_max - 1)) + 1
+    if size > budget:
+        raise BudgetExceeded(f"trace up to size {mu_max} would check {_quantity(size, counted)} streams (budget {budget})")
 
 
 def derivation_trace(mu_max: int, budget: int = DEFAULT_BUDGET) -> DerivationTrace:

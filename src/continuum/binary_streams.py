@@ -73,13 +73,6 @@ class EPBS:
     def size(self) -> int:
         return len(self.preamble) + len(self.period)
 
-    def bits(self, count: int) -> str:
-        """The first ``count`` bits of the infinite expansion."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        repeats = max(count - len(self.preamble), 0) // len(self.period) + 1
-        return (self.preamble + self.period * repeats)[:count]
-
     def __str__(self) -> str:  # the literal that parse_stream reads back
         return f"{self.preamble}({self.period})"
 
@@ -311,11 +304,13 @@ def count_canonical(max_size: int) -> int:
 
     Each p-bit word repeats exactly one primitive word, whose length d
     divides p, so there are P(p) = 2^p - sum of P(d) over the proper
-    divisors d of p primitive periods of p bits. Each follows the empty
-    preamble or one of the 2^(L-1) preambles of L = 1 .. max_size - p
-    bits whose last bit is the opposite of its own: 2^(max_size - p) in all.
+    divisors d of p primitive periods of p bits, found by a sieve over the
+    divisors. Each follows the empty preamble or one of the 2^(L-1)
+    preambles of L = 1 .. max_size - p bits whose last bit is the
+    opposite of its own: 2^(max_size - p) in all.
     """
-    primitive = {}
-    for p in range(1, max_size + 1):
-        primitive[p] = (1 << p) - sum(primitive[d] for d in range(1, p) if p % d == 0)
-    return sum(count << (max_size - p) for p, count in primitive.items())
+    primitive = [0] + [1 << p for p in range(1, max_size + 1)]
+    for d in range(1, max_size // 2 + 1):
+        for multiple in range(2 * d, max_size + 1, d):
+            primitive[multiple] -= primitive[d]
+    return sum(count << (max_size - p) for p, count in enumerate(primitive))

@@ -48,12 +48,6 @@ class Dyadic:
         """v in numerator = 2v + 1."""
         return (self.numerator - 1) // 2
 
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "Dyadic":
-        if not 0 < q < 1 or q.denominator & (q.denominator - 1):
-            raise ValueError(f"{q} is not a dyadic point of (0, 1)")
-        return cls(q.numerator, q.denominator.bit_length() - 1)
-
 
 @dataclass(frozen=True)
 class Endpoint:
@@ -69,9 +63,6 @@ class Endpoint:
 @dataclass(frozen=True)
 class OtherRational:
     """Classification: a uniquely-represented interior rational."""
-
-
-PointClass = Dyadic | Endpoint | OtherRational
 
 
 def _integer(match: re.Match, group: int) -> int:
@@ -123,7 +114,7 @@ def ensure_unit_interval(q: Fraction | int) -> Fraction:
     return q
 
 
-def classify(q: Fraction) -> PointClass:
+def classify(q: Fraction) -> Dyadic | Endpoint | OtherRational:
     """Exactly one of: dual dyadic point, endpoint, other rational."""
     q = ensure_unit_interval(q)
     if q == 0 or q == 1:

@@ -18,6 +18,16 @@ def _excerpt(text: str, show: Callable[[str], str] = str) -> str:
     return f"{show(text[:_EXCERPT])}... ({len(text)} characters)"
 
 
+def _quantity(items: int, exact: bool) -> str:
+    """``items`` in decimal if exact and str() may write it, else ``more than 2^k`` with 2^k < items."""
+    if exact:
+        try:
+            return str(items)
+        except ValueError:  # more decimal digits than str() may write
+            pass
+    return f"more than 2^{(items - 1).bit_length() - 1}"
+
+
 class DomainError(Exception):
     """Base of every domain error; each also keeps a builtin base."""
 

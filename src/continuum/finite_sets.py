@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .errors import BudgetExceeded, DisjointnessViolation
+from .errors import BudgetExceeded, DisjointnessViolation, _quantity
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -122,11 +122,6 @@ class LawWitness:
         injective = len(rights) == count
         surjective = rights == self.right_set.members
         return total and injective and surjective
-
-
-def make_set(labels: Iterable[str]) -> FiniteSet:
-    """Build a set from labels, dropping duplicates, keeping first-seen order."""
-    return FiniteSet(tuple(dict.fromkeys(labels)))
 
 
 def disjoint_union(left: FiniteSet, right: FiniteSet) -> FiniteSet:
@@ -236,15 +231,8 @@ def _require_within_budget(what: str, budget: int, count: Callable[[Callable], i
         return 1 << cap if exponent * (base.bit_length() - 1) >= cap else base**exponent
 
     cost = count(power)
-    if cost <= budget:
-        return
-    items = f"more than 2^{(cost - 1).bit_length() - 1}"
-    if cost.bit_length() <= cap:
-        try:
-            items = str(cost)
-        except ValueError:  # more decimal digits than str() may write
-            pass
-    raise BudgetExceeded(f"{what} would enumerate {items} items (budget {budget})")
+    if cost > budget:
+        raise BudgetExceeded(f"{what} would enumerate {_quantity(cost, cost.bit_length() <= cap)} items (budget {budget})")
 
 
 def check_covering_budget(domain: FiniteSet, codomain: FiniteSet, budget: int) -> None:

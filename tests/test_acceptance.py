@@ -20,7 +20,7 @@ from continuum.binary_streams import (
     value,
 )
 from continuum.cli import run
-from continuum.finite_sets import LAW_IDS, covering_set, make_set, verify_exponent_law
+from continuum.finite_sets import LAW_IDS, FiniteSet, covering_set, verify_exponent_law
 
 
 class _Timed:
@@ -59,8 +59,8 @@ def test_criterion_1_covering_golden():
 def test_criterion_2_covering_cardinality():
     with _Timed(2, 5.0):
         def check(n_size, m_size):
-            domain = make_set(f"n{i}" for i in range(n_size))
-            codomain = make_set(f"m{i}" for i in range(m_size))
+            domain = FiniteSet(tuple(f"n{i}" for i in range(n_size)))
+            codomain = FiniteSet(tuple(f"m{i}" for i in range(m_size)))
             cs = covering_set(domain, codomain)
             assert len(cs) == m_size**n_size
             assert len({c.assignment for c in cs}) == len(cs)

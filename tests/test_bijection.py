@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -207,7 +208,7 @@ def test_trace_passes_at_every_bound(mu_max):
 
 
 def test_trace_rejects_bad_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mu_max must be >= 1"):
         derivation_trace(0)
 
 
@@ -372,8 +373,8 @@ def test_trace_round_trips_look_inverse_images_up(monkeypatch):
 
     monkeypatch.setattr(bijection, "inverse", inverse_wrong_on_one)
     assert forward(wrong_on) == wrong_on
-    results = _results(derivation_trace(6))
-    assert results[30] == "fail"
+    # (01) is outside T, so step 28 fails too: forward fixes it and inverse does not.
+    assert _failed(derivation_trace(6)) == [28, 29, 30, 32]
     assert len(calls) == len(enumerate_canonical(6))
 
 
@@ -458,3 +459,110 @@ def test_trace_counts_meet_their_closed_forms(monkeypatch):
     results = _results(derivation_trace(6))
     assert results[24] == results[25] == "fail"
 
+
+# One fault at a time: each test below names every step the fault fails, so
+# a clause that stops checking, or checks for another step, shows up.
+
+@pytest.mark.parametrize("wrong_at", [None, 0, 3])
+def test_trace_checks_the_covering_set_size(monkeypatch, wrong_at):
+    # 7 for every power, or one too many at a single exponent that step 20 asks about.
+    original = bijection.cardinal_pow
+
+    def cardinal_pow(base, exponent):
+        return 7 if wrong_at is None else original(base, exponent) + (exponent == wrong_at)
+
+    monkeypatch.setattr(bijection, "cardinal_pow", cardinal_pow)
+    assert _failed(derivation_trace(6)) == [20]
+
+
+def test_trace_checks_the_walk_against_the_closed_form_count(monkeypatch):
+    original = bijection.count_canonical
+    monkeypatch.setattr(bijection, "count_canonical", lambda mu_max: original(mu_max) + 1)
+    assert _failed(derivation_trace(6)) == [25]
+
+
+@pytest.mark.parametrize("fault", ["no second expansion", "no expansion of 1/3", "0(1) always second"])
+def test_trace_checks_each_stream_against_the_expansions_of_its_value(monkeypatch, fault):
+    original = bijection.expansions_of
+    wrong = {
+        "no second expansion": lambda q: original(q)[:1],
+        "no expansion of 1/3": lambda q: [] if q == Fraction(1, 3) else original(q),
+        "0(1) always second": lambda q: original(q)[:1] + [EPBS("0", "1")],
+    }
+    monkeypatch.setattr(bijection, "expansions_of", wrong[fault])
+    assert _failed(derivation_trace(6)) == [21]
+
+
+def test_trace_checks_each_redundant_stream_has_the_value_of_its_chain_twin(monkeypatch):
+    # value is wrong on 0(1) alone, so its expansions differ too.
+    original, wrong_on = bijection.value, parse_stream("0(1)")
+    monkeypatch.setattr(bijection, "value", lambda s: Fraction(1, 3) if canonicalize(s) == wrong_on else original(s))
+    assert _failed(derivation_trace(6)) == [21, 26]
+
+
+def test_trace_checks_each_redundant_stream_has_an_index(monkeypatch):
+    original, lost = bijection.s_index, parse_stream("00(1)")
+    monkeypatch.setattr(bijection, "s_index", lambda s: None if canonicalize(s) == lost else original(s))
+    assert _failed(derivation_trace(6)) == [26]
+
+
+def test_trace_checks_the_odd_chain_maps_onto_the_chain(monkeypatch):
+    # t_{2k+1} -> t_0 for every k >= 1, so only t_0 is hit from T_O.
+    original = bijection.forward
+
+    def forward_onto_t0(stream):
+        position = t_index(stream)
+        if position is not None and position % 2 and position >= 3:
+            return t_enumerate(0)
+        return original(stream)
+
+    monkeypatch.setattr(bijection, "forward", forward_onto_t0)
+    assert 27 in _failed(derivation_trace(6))
+
+
+@pytest.mark.parametrize("name", ["forward", "inverse"])
+def test_trace_compares_images_by_value_not_identity(monkeypatch, name):
+    # A map that returns an equal fresh stream, never the one it was given,
+    # fixes the same streams.
+    original = getattr(bijection, name)
+
+    def fresh(stream):
+        image = original(stream)
+        return EPBS(image.preamble, image.period)
+
+    monkeypatch.setattr(bijection, name, fresh)
+    assert derivation_trace(6).verdict == "pass"
+
+
+def test_trace_checks_indexing_back_into_t(monkeypatch):
+    # t_index names (01), outside T, as t_0: indexing back gives 1(0) instead.
+    original, outside = bijection.t_index, parse_stream("(01)")
+    monkeypatch.setattr(bijection, "t_index", lambda s: 0 if canonicalize(s) == outside else original(s))
+    assert _failed(derivation_trace(6)) == [23, 24, 25, 27, 29, 30, 32]
+
+
+@pytest.mark.parametrize(
+    "name, fixed, expected",
+    [
+        # s_16, whose forward preimage t_32 is past the bound: only the
+        # stream's own round trip can find it.
+        ("inverse", "00010(1)", [29, 30]),
+        # t_16, whose inverse image t_33 is past the bound; as the image of
+        # s_8 it also clashes with itself.
+        ("inverse", "00011(0)", [29, 30, 32]),
+        ("forward", "1(0)", [26, 29, 30, 32]),  # t_0, so nothing absorbs s_0
+        ("forward", "01(0)", [27, 29, 30, 32]),  # t_1, so nothing in T_O maps onto t_0
+    ],
+)
+def test_trace_catches_a_map_that_fixes_one_stream_it_moves(monkeypatch, name, fixed, expected):
+    original, stream = getattr(bijection, name), parse_stream(fixed)
+    monkeypatch.setattr(bijection, name, lambda s: stream if canonicalize(s) == stream else original(s))
+    assert _failed(derivation_trace(6)) == expected
+
+
+def test_trace_catches_two_streams_that_inverse_moves_onto_one(monkeypatch):
+    # s_16 is sent to t_0, the image of s_0; its forward preimage t_32 is past
+    # the bound, so only the count of distinct images fails step 32.
+    original, source = bijection.inverse, s_enumerate(16)
+    monkeypatch.setattr(bijection, "inverse", lambda s: t_enumerate(0) if canonicalize(s) == source else original(s))
+    assert _failed(derivation_trace(6)) == [29, 30, 32]

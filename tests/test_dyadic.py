@@ -80,17 +80,17 @@ def test_dyadic_validation():
         Dyadic(2, 2)  # even numerator
     with pytest.raises(ValueError):
         Dyadic(5, 2)  # 5/4 > 1
-    with pytest.raises(ValueError):
-        Dyadic(1, 0)  # exponent too small
+    with pytest.raises(ValueError, match="exponent must be >= 1"):
+        Dyadic(1, 0)  # the range check would refuse it too
+    with pytest.raises(ValueError, match="endpoint must be 0 or 1"):
+        Endpoint(2)
 
 
 def test_dyadic_accessors():
     point = Dyadic(3, 3)
     assert point.fraction == Fraction(3, 8)
     assert point.odd_index == 1
-    assert Dyadic.from_fraction(Fraction(3, 8)) == point
-    with pytest.raises(ValueError):
-        Dyadic.from_fraction(Fraction(1, 3))
+    assert classify(point.fraction) == point
 
 
 # ---------------------------------------------------------------------------
@@ -226,4 +226,4 @@ def test_index_round_trip(k):
 @given(st.integers(1, 30))
 def test_fraction_round_trip(mu):
     point = Dyadic(2 ** (mu - 1) + 1 if mu > 1 else 1, mu)
-    assert Dyadic.from_fraction(point.fraction) == point
+    assert classify(point.fraction) == point

@@ -11,6 +11,7 @@ from continuum import finite_sets
 from continuum.errors import BudgetExceeded, DisjointnessViolation
 from continuum.finite_sets import (
     Covering,
+    CoveringSet,
     FiniteSet,
     LAW_IDS,
     LawWitness,
@@ -20,31 +21,17 @@ from continuum.finite_sets import (
     check_covering_budget,
     covering_set,
     disjoint_union,
-    make_set,
     product,
     tagged_union,
     verify_exponent_law,
 )
 
-labels = st.lists(st.sampled_from("abcdexyz01"), max_size=8)
+labels = st.lists(st.sampled_from("abcdexyz01"), max_size=8, unique=True)
 
 
 # ---------------------------------------------------------------------------
 # construction and unions
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize(
-    "raw, expected",
-    [
-        (["a", "b", "c"], ("a", "b", "c")),
-        ([], ()),
-        (["a", "a", "b"], ("a", "b")),
-        (["b", "a", "b", "a"], ("b", "a")),
-    ],
-)
-def test_make_set(raw, expected):
-    assert make_set(raw).elements == expected
-
 
 def test_finite_set_rejects_duplicates():
     with pytest.raises(ValueError):
@@ -52,7 +39,7 @@ def test_finite_set_rejects_duplicates():
 
 
 def test_finite_set_equality_hash_and_repr():
-    first, second = FiniteSet(("a", "b")), make_set(["a", "b", "a"])
+    first, second = FiniteSet(("a", "b")), FiniteSet(tuple("ab"))
     assert first == second and hash(first) == hash(second)
     assert first != FiniteSet(("b", "a"))
     assert repr(FiniteSet(("a",))) == "FiniteSet(elements=('a',))"
@@ -60,33 +47,27 @@ def test_finite_set_equality_hash_and_repr():
 
 @given(labels, st.sampled_from("abcdexyz01"))
 def test_finite_set_membership_agrees_with_elements(raw, label):
-    s = make_set(raw)
+    s = FiniteSet(tuple(raw))
     assert (label in s) == (label in s.elements)
 
 
-@given(labels)
-def test_make_set_keeps_first_occurrence_order(raw):
-    result = make_set(raw).elements
-    assert list(result) == sorted(set(raw), key=raw.index)
-
-
 def test_disjoint_union_concatenates():
-    assert disjoint_union(make_set("ab"), make_set("c")).elements == ("a", "b", "c")
-    assert disjoint_union(make_set(""), make_set("x")).elements == ("x",)
+    assert disjoint_union(FiniteSet(tuple("ab")), FiniteSet(tuple("c"))).elements == ("a", "b", "c")
+    assert disjoint_union(FiniteSet(), FiniteSet(tuple("x"))).elements == ("x",)
 
 
 def test_disjoint_union_rejects_overlap():
     with pytest.raises(DisjointnessViolation) as err:
-        disjoint_union(make_set("a"), make_set("a"))
+        disjoint_union(FiniteSet(tuple("a")), FiniteSet(tuple("a")))
     assert err.value.common == ("a",)
     with pytest.raises(DisjointnessViolation) as err:
-        disjoint_union(make_set("abc"), make_set("cda"))
+        disjoint_union(FiniteSet(tuple("abc")), FiniteSet(tuple("cda")))
     assert err.value.common == ("a", "c")
 
 
 def test_disjointness_violation_clips_its_message_and_keeps_every_label():
     with pytest.raises(DisjointnessViolation) as err:
-        disjoint_union(make_set("ab"), make_set("ba"))
+        disjoint_union(FiniteSet(tuple("ab")), FiniteSet(tuple("ba")))
     assert str(err.value) == "sets share labels: a, b"
     labels = FiniteSet(tuple(str(i) for i in range(100_000)))
     with pytest.raises(DisjointnessViolation) as err:
@@ -97,7 +78,7 @@ def test_disjointness_violation_clips_its_message_and_keeps_every_label():
 
 @given(labels, labels)
 def test_disjoint_union_succeeds_iff_disjoint(left_raw, right_raw):
-    left, right = make_set(left_raw), make_set(right_raw)
+    left, right = FiniteSet(tuple(left_raw)), FiniteSet(tuple(right_raw))
     overlapping = set(left.elements) & set(right.elements)
     if overlapping:
         with pytest.raises(DisjointnessViolation):
@@ -107,22 +88,22 @@ def test_disjoint_union_succeeds_iff_disjoint(left_raw, right_raw):
 
 
 def test_tagged_union_is_total():
-    assert tagged_union(make_set("a"), make_set("a")).elements == ("L.a", "R.a")
-    assert tagged_union(make_set("ab"), make_set("")).elements == ("L.a", "L.b")
-    assert tagged_union(make_set(""), make_set("")).elements == ()
+    assert tagged_union(FiniteSet(tuple("a")), FiniteSet(tuple("a"))).elements == ("L.a", "R.a")
+    assert tagged_union(FiniteSet(tuple("ab")), FiniteSet()).elements == ("L.a", "L.b")
+    assert tagged_union(FiniteSet(), FiniteSet()).elements == ()
 
 
 @given(labels, labels)
 def test_tagged_union_size_always_adds(left_raw, right_raw):
-    left, right = make_set(left_raw), make_set(right_raw)
+    left, right = FiniteSet(tuple(left_raw)), FiniteSet(tuple(right_raw))
     assert len(tagged_union(left, right)) == len(left) + len(right)
 
 
 def test_product_enumeration_order():
-    got = product(make_set("ab"), make_set("01")).elements
+    got = product(FiniteSet(tuple("ab")), FiniteSet(tuple("01"))).elements
     assert got == ("(a,0)", "(a,1)", "(b,0)", "(b,1)")
-    assert product(make_set("a"), make_set("")).elements == ()
-    assert len(product(make_set("abc"), make_set("01"))) == 6
+    assert product(FiniteSet(tuple("a")), FiniteSet()).elements == ()
+    assert len(product(FiniteSet(tuple("abc")), FiniteSet(tuple("01")))) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -130,46 +111,54 @@ def test_product_enumeration_order():
 # ---------------------------------------------------------------------------
 
 def test_covering_set_of_three_with_two():
-    cs = covering_set(make_set("abc"), make_set("01"))
+    cs = covering_set(FiniteSet(tuple("abc")), FiniteSet(tuple("01")))
     words = [cov.word() for cov in cs]
     assert set(words) == {"000", "001", "010", "100", "011", "101", "110", "111"}
     assert words == sorted(words)  # lexicographic enumeration
 
 
 def test_covering_set_empty_cases():
-    assert len(covering_set(make_set(""), make_set("01"))) == 1
-    assert covering_set(make_set(""), make_set("01")).coverings[0].assignment == ()
-    assert len(covering_set(make_set("ab"), make_set(""))) == 0
-    assert len(covering_set(make_set(""), make_set(""))) == 1
+    assert len(covering_set(FiniteSet(), FiniteSet(tuple("01")))) == 1
+    assert covering_set(FiniteSet(), FiniteSet(tuple("01"))).coverings[0].assignment == ()
+    assert len(covering_set(FiniteSet(tuple("ab")), FiniteSet())) == 0
+    assert len(covering_set(FiniteSet(), FiniteSet())) == 1
 
 
 def test_covering_set_enumeration_is_stable():
-    first = covering_set(make_set("abc"), make_set("012"))
-    second = covering_set(make_set("abc"), make_set("012"))
+    first = covering_set(FiniteSet(tuple("abc")), FiniteSet(tuple("012")))
+    second = covering_set(FiniteSet(tuple("abc")), FiniteSet(tuple("012")))
     assert [c.assignment for c in first] == [c.assignment for c in second]
 
 
 @given(st.integers(0, 5), st.integers(0, 3))
 def test_covering_set_count_and_distinctness(n_size, m_size):
-    domain = make_set(f"n{i}" for i in range(n_size))
-    codomain = make_set(f"m{i}" for i in range(m_size))
+    domain = FiniteSet(tuple(f"n{i}" for i in range(n_size)))
+    codomain = FiniteSet(tuple(f"m{i}" for i in range(m_size)))
     cs = covering_set(domain, codomain)
     assert len(cs) == m_size**n_size
     assert len({c.assignment for c in cs}) == len(cs)
 
 
 def test_covering_lookup_and_validation():
-    cs = covering_set(make_set("ab"), make_set("01"))
+    cs = covering_set(FiniteSet(tuple("ab")), FiniteSet(tuple("01")))
     cov = cs.coverings[1]
     assert cov.assignment == ("0", "1")
     with pytest.raises(ValueError):
-        Covering(make_set("ab"), make_set("01"), ("0",))
+        Covering(FiniteSet(tuple("ab")), FiniteSet(tuple("01")), ("0",))
     with pytest.raises(ValueError, match="'2'"):
-        Covering(make_set("ab"), make_set("01"), ("0", "2"))
+        Covering(FiniteSet(tuple("ab")), FiniteSet(tuple("01")), ("0", "2"))
     with pytest.raises(ValueError, match="'x'"):
-        Covering(make_set("abc"), make_set("01"), ("1", "x", "y"))
+        Covering(FiniteSet(tuple("abc")), FiniteSet(tuple("01")), ("1", "x", "y"))
     with pytest.raises(dataclasses.FrozenInstanceError):
         cov.assignment = ("1", "1")
+
+
+def test_covering_set_refuses_a_missing_or_repeated_covering():
+    cs = covering_set(FiniteSet(tuple("ab")), FiniteSet(tuple("01")))
+    with pytest.raises(ValueError, match="expected 4 coverings, got 3"):
+        CoveringSet(cs.domain, cs.codomain, cs.coverings[:3])
+    with pytest.raises(ValueError, match="coverings are not pairwise distinct"):
+        CoveringSet(cs.domain, cs.codomain, cs.coverings[:3] + cs.coverings[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +199,8 @@ def test_cardinal_ops_reject_negatives():
     for op in (cardinal_add, cardinal_mul, cardinal_pow):
         with pytest.raises(ValueError):
             op(-1, 2)
+    with pytest.raises(ValueError, match="a must be a nonnegative integer, got -1"):
+        verify_exponent_law("ADD_EXP", -1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +290,22 @@ def test_budget_guard_is_exact_within_the_budget_and_a_lower_bound_past_it(monke
     answers = set()
     for budget in (1, 10, 100):
         for base, exponent in itertools.product(range(6), range(9)):
-            domain, codomain = make_set(map(str, range(exponent))), make_set(map(str, range(base)))
+            domain, codomain = FiniteSet(tuple(map(str, range(exponent)))), FiniteSet(tuple(map(str, range(base))))
             check = functools.partial(check_covering_budget, domain, codomain, budget)
             answers.add(_refused_count(check, base**exponent, budget))
         for law_id, a, b, c in itertools.product(LAW_IDS, range(5), range(5), range(4)):
             check = functools.partial(verify_exponent_law, law_id, a, b, c, budget)
             answers.add(_refused_count(check, _exact_cost(law_id, a, b, c), budget))
     assert answers == {"admitted", "exact", "bound"}
+
+
+def test_budget_guard_with_the_limit_off_is_exact_below_2_to_17201(monkeypatch):
+    # str() may then write any count, and powers are bounded as at the default
+    # limit of 4300 digits, not just past the budget.
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+    domain, codomain = FiniteSet(tuple(map(str, range(30)))), FiniteSet(("0", "1"))
+    check = functools.partial(check_covering_budget, domain, codomain, 1000)
+    assert _refused_count(check, 2**30, 1000) == "exact"
 
 
 def test_law_witness_detects_bad_pairs():
@@ -398,7 +398,7 @@ def test_law_witness_builds_only_enumerated_coverings(law_id, monkeypatch):
 
 
 def test_witness_refuses_images_that_are_not_coverings():
-    domain, codomain = make_set(["x", "y"]), make_set(["a", "b", "a,b"])
+    domain, codomain = FiniteSet(("x", "y")), FiniteSet(("a", "b", "a,b"))
     _, _, pairs = finite_sets._witness([("f", ("a", "b"))], domain, codomain)
     assert pairs == (("f", "[a,b]"),)
     with pytest.raises(ValueError, match="'z'"):
@@ -446,7 +446,8 @@ def test_law_witness_verdict_is_per_instance():
         ("ab", "x", (("a", "x"), ("b", "x"))),  # not injective
         ("a", "xy", (("a", "x"),)),  # not surjective
         ("ab", "xy", (("a", "x"), ("a", "y"))),  # a left label repeats, b is missed
+        ("ab", "xyz", (("a", "x"), ("a", "y"), ("b", "z"))),  # a left label repeats, none is missed
     ],
 )
 def test_law_witness_checks_each_property(left, right, pairs):
-    assert not LawWitness("ADD_EXP", make_set(left), make_set(right), pairs).is_bijection()
+    assert not LawWitness("ADD_EXP", FiniteSet(tuple(left)), FiniteSet(tuple(right)), pairs).is_bijection()
