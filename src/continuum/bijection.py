@@ -286,10 +286,9 @@ _STEPS = (
 def _check_budget(mu_max: int, budget: int) -> None:
     # |B| > 2^(μ-1), as B_S and T have 2^(μ-1) - 1 streams each, so a bound
     # past the budget's bit length is refused with that bound, uncounted.
-    counted = mu_max <= budget.bit_length()
-    size = count_canonical(mu_max) if counted else (1 << (mu_max - 1)) + 1
-    if size > budget:
-        raise BudgetExceeded(f"trace up to size {mu_max} would check {_quantity(size, counted)} streams (budget {budget})")
+    size = count_canonical(mu_max) if mu_max <= budget.bit_length() else None
+    if size is None or size > budget:
+        raise BudgetExceeded(f"trace up to size {mu_max} would check {_quantity(size, mu_max - 1)} streams (budget {budget})")
 
 
 def derivation_trace(mu_max: int, budget: int = DEFAULT_BUDGET) -> DerivationTrace:

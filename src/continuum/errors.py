@@ -18,14 +18,14 @@ def _excerpt(text: str, show: Callable[[str], str] = str) -> str:
     return f"{show(text[:_EXCERPT])}... ({len(text)} characters)"
 
 
-def _quantity(items: int, exact: bool) -> str:
-    """``items`` in decimal if exact and str() may write it, else ``more than 2^k`` with 2^k < items."""
-    if exact:
+def _quantity(count: int | None, exponent: int) -> str:
+    """``count`` in decimal if given and str() may write it, else ``more than 2^exponent``."""
+    if count is not None:
         try:
-            return str(items)
+            return str(count)
         except ValueError:  # more decimal digits than str() may write
             pass
-    return f"more than 2^{(items - 1).bit_length() - 1}"
+    return f"more than 2^{exponent}"
 
 
 class DomainError(Exception):

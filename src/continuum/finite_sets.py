@@ -232,7 +232,8 @@ def _require_within_budget(what: str, budget: int, count: Callable[[Callable], i
 
     cost = count(power)
     if cost > budget:
-        raise BudgetExceeded(f"{what} would enumerate {_quantity(cost, cost.bit_length() <= cap)} items (budget {budget})")
+        exact = cost if cost.bit_length() <= cap else None
+        raise BudgetExceeded(f"{what} would enumerate {_quantity(exact, (cost - 1).bit_length() - 1)} items (budget {budget})")
 
 
 def check_covering_budget(domain: FiniteSet, codomain: FiniteSet, budget: int) -> None:

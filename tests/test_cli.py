@@ -426,18 +426,32 @@ def test_trace_over_default_budget_refused_before_enumerating():
     assert result.output == ""
     assert result.diagnostics.startswith("BudgetExceeded: ")
     assert len(result.diagnostics.splitlines()) == 1
-    # Past the budget's bit length, |B| is named by its bound 2^(μ-1), uncounted.
-    refused = run(["trace", "--mu-max", "100"])
-    assert refused.diagnostics == "BudgetExceeded: trace up to size 100 would check more than 2^99 streams (budget 1000000)"
+    # Past the budget's bit length, |B| is named by its bound 2^(μ-1),
+    # uncounted and at once, however many digits the bound has.
+    for mu_max in (100, 10**12, 10**4299):
+        start = time.perf_counter()
+        refused = run(["trace", "--mu-max", str(mu_max)])
+        assert time.perf_counter() - start < 1.0
+        assert refused.exit_code == 2
+        assert refused.diagnostics == (
+            f"BudgetExceeded: trace up to size {mu_max} would check more than 2^{mu_max - 1} streams (budget 1000000)"
+        )
 
 
-def _trace_refused_at_once(mu_max, digits):
+def _trace_refused_at_once(monkeypatch, mu_max, digits):
     # The budget has ``digits`` nines, so |B| is counted, and it has more
-    # digits than that: named as a lower bound, or exactly when str() may write it.
+    # digits than that: named as a lower bound, or exactly when str() may
+    # write it. The count itself is made beforehand, so what is timed is
+    # the refusal: one count and nothing past the budget check.
     budget = "9" * digits
+    size = binary_streams.count_canonical(mu_max)
+    counted = []
+    monkeypatch.setattr(bijection, "count_canonical", lambda m: counted.append(m) or size)
+    monkeypatch.setattr(bijection, "_check_streams", pytest.fail)
     start = time.perf_counter()
     result = run(["trace", "--mu-max", str(mu_max), "--budget", budget])
     assert time.perf_counter() - start < 1.0
+    assert counted == [mu_max]
     assert result.exit_code == 2
     assert result.output == ""
     found = re.fullmatch(
@@ -445,21 +459,20 @@ def _trace_refused_at_once(mu_max, digits):
         result.diagnostics,
     )
     assert found
-    size = binary_streams.count_canonical(mu_max)
     if found.group(2) is None:
         assert int(found.group(1)) == size
     else:
-        assert int(found.group(2)) == (size - 1).bit_length() - 1
+        assert int(found.group(2)) == mu_max - 1
     return found
 
 
-def test_trace_names_a_count_past_the_int_to_str_limit():
-    _trace_refused_at_once(14284, 4300)
+def test_trace_names_a_count_past_the_int_to_str_limit(monkeypatch):
+    _trace_refused_at_once(monkeypatch, 14284, 4300)
 
 
-def test_trace_names_a_count_past_a_lowered_int_to_str_limit():
+def test_trace_names_a_count_past_a_lowered_int_to_str_limit(monkeypatch):
     with _int_digit_limit(640):
-        assert _trace_refused_at_once(2126, 640).group(2)
+        assert _trace_refused_at_once(monkeypatch, 2126, 640).group(2)
 
 
 def test_trace_default_budget_admits_16_and_refuses_18():
