@@ -28,6 +28,11 @@ def _quantity(count: int | None, exponent: int) -> str:
     return f"more than 2^{exponent}"
 
 
+def _budget(budget: int) -> str:
+    """``budget`` in decimal up to 20 digits, else ``at least 2^k`` with k its bit length less one."""
+    return str(budget) if budget < 10**_EXCERPT else f"at least 2^{budget.bit_length() - 1}"
+
+
 class DomainError(Exception):
     """Base of every domain error; each also keeps a builtin base."""
 

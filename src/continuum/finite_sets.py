@@ -10,7 +10,9 @@ checked *against*.
 A "covering of N with M" is a total function N -> M; the covering-set
 (N | M) is the set of all of them, and exponentiation of cardinals is
 defined as its size. The three exponent laws are verified by building
-the natural bijection between both sides element by element.
+the natural bijection between both sides element by element. The check
+runs on words of codomain positions: each image is glued from words by
+concatenation or table lookup and looked up among the right side's words.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .errors import BudgetExceeded, DisjointnessViolation, _quantity
+from .errors import BudgetExceeded, DisjointnessViolation, _budget, _quantity
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -72,10 +74,6 @@ class Covering:
     def word(self) -> str:
         """The assignment read off as a word, e.g. ``"011"``."""
         return "".join(self.assignment)
-
-    def label(self) -> str:
-        """A canonical label for this covering, usable as a set element."""
-        return "[" + ",".join(self.assignment) + "]"
 
 
 @dataclass(frozen=True)
@@ -233,7 +231,7 @@ def _require_within_budget(what: str, budget: int, count: Callable[[Callable], i
     cost = count(power)
     if cost > budget:
         exact = cost if cost.bit_length() <= cap else None
-        raise BudgetExceeded(f"{what} would enumerate {_quantity(exact, (cost - 1).bit_length() - 1)} items (budget {budget})")
+        raise BudgetExceeded(f"{what} would enumerate {_quantity(exact, (cost - 1).bit_length() - 1)} items (budget {_budget(budget)})")
 
 
 def check_covering_budget(domain: FiniteSet, codomain: FiniteSet, budget: int) -> None:
@@ -244,9 +242,8 @@ def check_covering_budget(domain: FiniteSet, codomain: FiniteSet, budget: int) -
 
 
 def _enumeration_cost(law_id: str, a: int, b: int, c: int, power: Callable[[int, int], int]) -> int:
-    # Total items materialized: the labels of M, N, P (and of N (+) P), the
-    # intermediate covering/pair sets and both sides. No assignment is longer
-    # than a label set counted here, so assignment entries are not counted.
+    # Total items materialized: the labels of M, N, P (and of N (+) P), the intermediate
+    # covering/pair sets and both sides. Words are not counted: none is longer than its label.
     labels = a + b + c
     if law_id == "ADD_EXP":
         return labels + b + c + power(a, b) + power(a, c) + power(a, b) * power(a, c) + power(a, b + c)
@@ -266,65 +263,62 @@ def check_law_budget(law_id: str, a: int, b: int, c: int, budget: int) -> None:
     _require_within_budget(f"{law_id} with a={a} b={b} c={c}", budget, cost)
 
 
+def _bracket(values: Iterable[str]) -> str:
+    return "[" + ",".join(values) + "]"
+
+
+def _coverings(length: int, codomain: FiniteSet) -> tuple[list[bytes], tuple[str, ...]]:
+    # Words and labels of the coverings of ``length`` labels with ``codomain`` in covering_set's
+    # order. A word is codomain positions as bytes: one byte each up to 256 labels, else two or four.
+    # Labels are built before words: with words first, peak RSS grew about 1 MB per repeated witness.
+    width = 1 if len(codomain) <= 256 else 2 if len(codomain) <= 1 << 16 else 4
+    encode = bytes if width == 1 else lambda word: b"".join(k.to_bytes(width, "little") for k in word)
+    labels = tuple(map(_bracket, itertools.product(codomain.elements, repeat=length)))
+    return list(map(encode, itertools.product(range(len(codomain)), repeat=length))), labels
+
+
 def _witness(
-    lefts: Iterable[tuple[str, tuple[str, ...]]], domain: FiniteSet, codomain: FiniteSet
+    lefts: Iterable[tuple[str, bytes]], domain: FiniteSet, codomain: FiniteSet
 ) -> tuple[FiniteSet, FiniteSet, tuple]:
-    # Each left label is paired with the covering of ``domain`` with
-    # ``codomain`` that its image assignment spells. The right set is built
-    # first and kept only as labels, so its Covering objects are freed
-    # before ``lefts`` is consumed. The dict maps each label to itself:
-    # the pairs look their right labels up in it, so they hold the strings
-    # of the right set, not equal copies.
-    right_set = FiniteSet(tuple(cov.label() for cov in covering_set(domain, codomain)))
-    shared = dict(zip(right_set.elements, right_set.elements))
-    size = len(domain.elements)
-    allowed = codomain.members
-    pairs = []
-    for left, image in lefts:
-        # Each image passes Covering's own check, in place, with no Covering
-        # built. A hit in ``shared`` would not do: labels may contain commas
-        # (product labels do), so a short or foreign image can join to the
-        # label of a valid one. An image that fails is built, so it raises
-        # Covering's error.
-        if len(image) != size or not allowed.issuperset(image):
-            Covering(domain, codomain, image)
-        pairs.append((left, shared["[" + ",".join(image) + "]"]))
-    return FiniteSet(tuple(left for left, _ in pairs)), right_set, tuple(pairs)
-
-
-def _covering_pairs(
-    f_domain: FiniteSet, f_codomain: FiniteSet, g_domain: FiniteSet, g_codomain: FiniteSet
-) -> Iterator[tuple[str, tuple[str, ...], tuple[str, ...]]]:
-    # Pairs (f, g) of coverings, f major, as their label and both assignments;
-    # each f's label is built once. Nothing is enumerated before the first item.
-    gs = [(g.label(), g.assignment) for g in covering_set(g_domain, g_codomain)]
-    for f in covering_set(f_domain, f_codomain):
-        f_label = f.label()
-        for g_label, g_assignment in gs:
-            yield pair_label(f_label, g_label), f.assignment, g_assignment
+    # Pairs each left label with the label of the covering whose word is its image; a word that is
+    # no covering's misses. The dict from word to label goes before either set is built.
+    by_word = dict(zip(*_coverings(len(domain), codomain)))
+    try:
+        pairs = tuple([(left, by_word[image]) for left, image in lefts])
+    except KeyError:
+        raise ValueError(f"an image is not a covering of {len(domain)} labels with {len(codomain)} labels") from None
+    right = tuple(by_word.values())
+    del by_word
+    return FiniteSet(tuple(left for left, _ in pairs)), FiniteSet(right), pairs
 
 
 def _add_exp_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSet, FiniteSet, tuple]:
     # Pairs of coverings (N -> M, P -> M)  <->  coverings of N (+) P with M.
-    lefts = ((left, f + g) for left, f, g in _covering_pairs(n, m, p, m))
+    fs, gs = zip(*_coverings(len(n), m)), tuple(zip(*_coverings(len(p), m)))
+    lefts = ((pair_label(f, g), f_word + g_word) for f_word, f in fs for g_word, g in gs)
     return _witness(lefts, disjoint_union(n, p), m)
 
 
 def _mul_exp_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSet, FiniteSet, tuple]:
-    # Pairs of coverings (P -> M, P -> N)  <->  coverings of P with M x N.
-    lefts = ((left, tuple(map(pair_label, f, g))) for left, f, g in _covering_pairs(p, m, p, n))
-    return _witness(lefts, p, product(m, n))
+    # Pairs of coverings (P -> M, P -> N)  <->  coverings of P with M x N. The
+    # one-position word of each (x, y) is read off the enumerated product.
+    mn = product(m, n)
+    cells = dict(zip(mn, _coverings(1, mn)[0]))
+    table = {(x, y): cells[pair_label(x, y)] for x in m for y in n}
+    fs = ((_bracket(f), f) for f in itertools.product(m, repeat=len(p)))
+    gs = tuple((_bracket(g), g) for g in itertools.product(n, repeat=len(p)))
+    lefts = ((pair_label(f, g), b"".join(map(table.__getitem__, zip(xs, ys)))) for f, xs in fs for g, ys in gs)
+    return _witness(lefts, p, mn)
 
 
 def _curry_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSet, FiniteSet, tuple]:
     # Coverings of P with the covering-set (N | M)  <->  coverings of P x N with M.
-    def lefts():
-        by_label = {cov.label(): cov.assignment for cov in covering_set(n, m)}
-        for outer in covering_set(p, FiniteSet(tuple(by_label))):
-            flat = itertools.chain.from_iterable(map(by_label.__getitem__, outer.assignment))
-            yield outer.label(), tuple(flat)
-
-    return _witness(lefts(), product(p, n), m)
+    inner = tuple(zip(*_coverings(len(n), m)))
+    lefts = (
+        (_bracket(label for _, label in outer), b"".join(word for word, _ in outer))
+        for outer in itertools.product(inner, repeat=len(p))
+    )
+    return _witness(lefts, product(p, n), m)
 
 
 _LAW_BUILDERS = {

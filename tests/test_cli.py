@@ -1,10 +1,13 @@
 import contextlib
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -104,6 +107,13 @@ def test_laws_checks_each_witness_once(monkeypatch):
     assert checks == ["ADD_EXP", "MUL_EXP", "CURRY"]
 
 
+def test_laws_past_one_byte_per_position():
+    # 512 coverings of P with the 512 coverings of N with M.
+    result = run(["laws", "--check", "CURRY", "--a", "2", "--b", "9", "--c", "1"])
+    assert result.exit_code == 0
+    assert result.output == "CURRY a=2 b=9 c=1: |left|=512 |right|=512 bijection=valid"
+
+
 def test_laws_budget_exceeded_is_domain_error():
     result = run(
         ["laws", "--check", "CURRY", "--a", "3", "--b", "3", "--c", "3", "--budget", "10"]
@@ -183,6 +193,16 @@ def test_counts_past_the_int_to_str_limit_refused_as_lower_bounds(argv, log2_cou
         r"BudgetExceeded: .* would enumerate more than 2\^(\d+) items \(budget 1000000\)", result.diagnostics
     )
     assert found and 20 <= int(found.group(1)) < log2_count
+
+
+def test_a_budget_past_20_digits_is_named_by_its_bit_length():
+    budget = "9" * 4300
+    result = run(["coverings", "--exp", _binary_labels(20000), "--base", "0,1", "--budget", budget])
+    assert result.exit_code == 2
+    assert result.diagnostics.endswith(f"items (budget at least 2^{int(budget).bit_length() - 1})")
+    assert len(result.diagnostics) < 300
+    refused = run(["coverings", "--exp", _binary_labels(70), "--base", "0,1", "--budget", "9" * 20])
+    assert refused.diagnostics.endswith(f"items (budget {'9' * 20})")
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +461,11 @@ def test_trace_over_default_budget_refused_before_enumerating():
 def _trace_refused_at_once(monkeypatch, mu_max, digits):
     # The budget has ``digits`` nines, so |B| is counted, and it has more
     # digits than that: named as a lower bound, or exactly when str() may
-    # write it. The count itself is made beforehand, so what is timed is
-    # the refusal: one count and nothing past the budget check.
+    # write it. The budget is named by its bit length. The count itself is
+    # made beforehand, so what is timed is the refusal: one count and
+    # nothing past the budget check.
     budget = "9" * digits
+    budget_log2 = int(budget).bit_length() - 1
     size = binary_streams.count_canonical(mu_max)
     counted = []
     monkeypatch.setattr(bijection, "count_canonical", lambda m: counted.append(m) or size)
@@ -455,7 +477,7 @@ def _trace_refused_at_once(monkeypatch, mu_max, digits):
     assert result.exit_code == 2
     assert result.output == ""
     found = re.fullmatch(
-        rf"BudgetExceeded: trace up to size {mu_max} would check ([0-9]+|more than 2\^([0-9]+)) streams \(budget {budget}\)",
+        rf"BudgetExceeded: trace up to size {mu_max} would check ([0-9]+|more than 2\^([0-9]+)) streams \(budget at least 2\^{budget_log2}\)",
         result.diagnostics,
     )
     assert found
@@ -584,6 +606,19 @@ def test_main_wiring(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("OutOfRange:")
+
+
+def test_module_runs_as_a_script():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+    def script(*argv):
+        return subprocess.run([sys.executable, "-m", "continuum.cli", *argv], env=env, capture_output=True, text=True)
+
+    done = script("laws", "--check", "ADD_EXP", "--a", "2", "--b", "1", "--c", "1")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ADD_EXP a=2 b=1 c=1: |left|=4 |right|=4 bijection=valid\n", "")
+    done = script("classify", "3/2")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("OutOfRange:") and done.stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from continuum import finite_sets
+from continuum import bijection, finite_sets
 from continuum.errors import BudgetExceeded, DisjointnessViolation
 from continuum.finite_sets import (
     Covering,
@@ -308,6 +308,25 @@ def test_budget_guard_with_the_limit_off_is_exact_below_2_to_17201(monkeypatch):
     assert _refused_count(check, 2**30, 1000) == "exact"
 
 
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda budget: check_covering_budget(FiniteSet(tuple(f"n{i}" for i in range(20000))), FiniteSet(("0", "1")), budget),
+        lambda budget: verify_exponent_law("ADD_EXP", 2, 20000, 1, budget),
+        lambda budget: bijection.derivation_trace(20000, budget),
+    ],
+)
+def test_a_budget_past_20_digits_is_named_by_its_bit_length(refuse):
+    # 10^5000 has more decimal digits than str() may write by default.
+    with pytest.raises(BudgetExceeded) as refused:
+        refuse(10**5000)
+    message = str(refused.value)
+    assert message.endswith(f"(budget at least 2^{(10**5000).bit_length() - 1})")
+    assert len(message) < 300
+    with pytest.raises(BudgetExceeded, match=rf"\(budget {10**20 - 1}\)$"):
+        refuse(10**20 - 1)
+
+
 def test_law_witness_detects_bad_pairs():
     witness = verify_exponent_law("ADD_EXP", 2, 1, 1)
     broken = LawWitness(
@@ -376,36 +395,47 @@ def test_pair_right_labels_are_the_right_set_strings(law_id, a, b, c):
 
 @pytest.mark.parametrize("law_id", LAW_IDS)
 def test_law_witness_builds_only_enumerated_coverings(law_id, monkeypatch):
-    # Every Covering built is one that covering_set enumerates; the glued
-    # images are checked in place, not built.
-    built, enumerated = [0], [0]
-    original_post_init, original_covering_set = Covering.__post_init__, finite_sets.covering_set
+    # Verifying a law builds no Covering at all: its images are words of
+    # codomain positions, looked up among the words of the right set.
+    built = [0]
+    original_post_init = Covering.__post_init__
 
     def counting_post_init(self):
         built[0] += 1
         original_post_init(self)
 
-    def counting_covering_set(domain, codomain):
-        result = original_covering_set(domain, codomain)
-        enumerated[0] += len(result)
-        return result
-
     monkeypatch.setattr(Covering, "__post_init__", counting_post_init)
-    monkeypatch.setattr(finite_sets, "covering_set", counting_covering_set)
     verify_exponent_law(law_id, 2, 2, 3)
-    assert enumerated[0] > 0
-    assert built[0] == enumerated[0]
+    assert built[0] == 0
 
 
-def test_witness_refuses_images_that_are_not_coverings():
+def test_witness_refuses_images_that_are_not_coverings(monkeypatch):
     domain, codomain = FiniteSet(("x", "y")), FiniteSet(("a", "b", "a,b"))
-    _, _, pairs = finite_sets._witness([("f", ("a", "b"))], domain, codomain)
+    _, _, pairs = finite_sets._witness([("f", bytes([0, 1]))], domain, codomain)
     assert pairs == (("f", "[a,b]"),)
-    with pytest.raises(ValueError, match="'z'"):
-        finite_sets._witness([("f", ("a", "z"))], domain, codomain)
-    # ("a,b",) joins to "[a,b]", the label of ("a", "b"), yet is not total.
-    with pytest.raises(ValueError, match="not total"):
-        finite_sets._witness([("f", ("a,b",))], domain, codomain)
+    # A position past the codomain, and a word of the wrong length: the word
+    # of "a,b" alone, whose label would read "[a,b]" as well.
+    for image in (bytes([0, 3]), bytes([2])):
+        with pytest.raises(ValueError, match="not a covering of 2 labels with 3 labels") as refused:
+            finite_sets._witness([("f", image)], domain, codomain)
+        assert not isinstance(refused.value, KeyError)
+
+    def foreign(m, n, p):
+        return finite_sets._witness([("f", bytes([len(m)]) * (len(n) + len(p)))], disjoint_union(n, p), m)
+
+    monkeypatch.setitem(finite_sets._LAW_BUILDERS, "ADD_EXP", foreign)
+    with pytest.raises(ValueError, match="not a covering"):
+        verify_exponent_law("ADD_EXP", 2, 1, 1)
+
+
+@pytest.mark.parametrize("law_id, a, b, c", [("MUL_EXP", 257, 1, 1), ("CURRY", 2, 9, 1), ("MUL_EXP", 257, 256, 1)])
+def test_law_witness_matches_oracle_past_one_byte_per_position(law_id, a, b, c):
+    # 257 codomain labels; 512 coverings of P with (N | M); 65 792 codomain
+    # labels, past what two bytes can number.
+    witness = verify_exponent_law(law_id, a, b, c)
+    _, right, pairs = _oracle_witness(law_id, a, b, c)
+    assert witness.pairs == pairs
+    assert witness.right_set.elements == right
 
 
 def test_verify_rejects_a_builder_that_breaks_the_bijection(monkeypatch):
