@@ -32,6 +32,7 @@ from dataclasses import asdict, dataclass
 from .binary_streams import (
     EPBS,
     StreamClass,
+    _built,
     canonicalize,
     classify_stream,
     count_canonical,
@@ -54,12 +55,12 @@ def _word(k: int) -> str:
 
 def t_enumerate(k: int) -> EPBS:
     """k-th element of T: trailing-zeros form of the k-th dyadic point."""
-    return EPBS(_word(k) + "1", "0")
+    return _built(_word(k) + "1", "0")
 
 
 def s_enumerate(k: int) -> EPBS:
     """k-th redundant stream: trailing-ones form of the k-th dyadic point."""
-    return EPBS(_word(k) + "0", "1")
+    return _built(_word(k) + "0", "1")
 
 
 def _dyadic_index(canonical: EPBS, tail: str) -> int | None:

@@ -45,8 +45,8 @@ class EPBS:
     """An eventually periodic bit stream: finite preamble, repeating block.
 
     Both parts are strings of the characters ``"0"`` and ``"1"``.
-    ``_canonical`` is set by :func:`canonicalize` on the streams it returns
-    and takes no part in equality, hashing or the repr.
+    ``_canonical`` is set on what :func:`canonicalize` and :func:`_built`
+    return, and takes no part in equality, hashing or the repr.
     """
 
     preamble: str
@@ -75,6 +75,15 @@ class EPBS:
 
     def __str__(self) -> str:  # the literal that parse_stream reads back
         return f"{self.preamble}({self.period})"
+
+
+def _built(preamble: str, period: str) -> EPBS:
+    """A canonical stream from bits the library wrote, past EPBS's check."""
+    stream = object.__new__(EPBS)
+    _set(stream, "preamble", preamble)
+    _set(stream, "period", period)
+    _set(stream, "_canonical", True)
+    return stream
 
 
 class StreamClass(Enum):
@@ -136,7 +145,7 @@ def canonicalize(stream: EPBS) -> EPBS:
     all of them in one slice and one rotation. Two streams are
     bit-for-bit equal iff their canonical forms are structurally equal.
     A stream that is already canonical is returned itself, not a copy,
-    and one returned here before costs one attribute read.
+    and one flagged canonical before costs one attribute read.
     """
     if stream._canonical:
         return stream
@@ -148,7 +157,7 @@ def canonicalize(stream: EPBS) -> EPBS:
         cut = len(period) - absorbed % len(period)
         period = period[cut:] + period[:cut]
     if preamble != stream.preamble or period != stream.period:
-        stream = EPBS(preamble, period)
+        return _built(preamble, period)  # slices of bits already checked
     _set(stream, "_canonical", True)
     return stream
 
@@ -217,15 +226,17 @@ def expansions_of(q: Fraction) -> list[EPBS]:
     its second expansion is the :func:`dual_of` of the first.
     """
     q = ensure_unit_interval(q)
-    if q == 1:
-        return [EPBS("", "1")]
-    pre_len = (q.denominator & -q.denominator).bit_length() - 1
-    odd = q.denominator >> pre_len
+    numerator, denominator = q.numerator, q.denominator
+    if numerator == denominator:
+        return [_built("", "1")]
+    pre_len = (denominator & -denominator).bit_length() - 1
+    odd = denominator >> pre_len
     per_len = _order_of_two(odd) if odd > 1 else 1
     cycle = (1 << per_len) - 1
-    head, tail = divmod(q.numerator * (cycle // odd), cycle)
+    head, tail = divmod(numerator * (cycle // odd), cycle)
     bits = format(head << per_len | tail, "b").zfill(pre_len + per_len)
-    first = EPBS(bits[:pre_len], bits[pre_len:])
+    # Canonical: P is minimal, and a k-bit preamble ending as the period does would make b divide 2^(k-1)(2^P-1).
+    first = _built(bits[:pre_len], bits[pre_len:])
     dual = dual_of(first) if odd == 1 else None  # only a dyadic point may have two
     return [first] if dual is None else [first, dual]
 
@@ -253,7 +264,7 @@ def dual_of(stream: EPBS) -> EPBS | None:
     canonical = canonicalize(stream)
     if not canonical.preamble or canonical.period not in ("0", "1"):
         return None
-    return EPBS(canonical.preamble[:-1] + canonical.period, canonical.preamble[-1])
+    return _built(canonical.preamble[:-1] + canonical.period, canonical.preamble[-1])
 
 
 def _words(length: int) -> Iterator[str]:
@@ -295,7 +306,7 @@ def enumerate_canonical(max_size: int) -> tuple[EPBS, ...]:
         preambles = sorted([*preambles, *_words(size - 1)])
         for preamble in preambles:
             periods = closed_by[preamble[-1]] if preamble else primitive
-            streams.extend(map(EPBS, itertools.repeat(preamble), periods[size - len(preamble)]))
+            streams.extend(map(_built, itertools.repeat(preamble), periods[size - len(preamble)]))
     return tuple(streams)
 
 

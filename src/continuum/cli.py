@@ -52,8 +52,9 @@ def _label_set(text: str) -> finite_sets.FiniteSet:
 def _cmd_coverings(args) -> str:
     domain, codomain = _label_set(args.exp), _label_set(args.base)
     finite_sets.check_covering_budget(domain, codomain, args.budget)
-    coverings = finite_sets.covering_set(domain, codomain)
-    return "\n".join(cov.word() for cov in coverings)
+    # Longer labels are joined by commas, which no label holds, so no two coverings print alike.
+    sep = "" if all(len(label) == 1 for label in codomain) else ","
+    return "\n".join(sep.join(cov.assignment) for cov in finite_sets.covering_set(domain, codomain))
 
 
 def _cmd_laws(args) -> str:

@@ -71,10 +71,6 @@ class Covering:
             value = next(value for value in self.assignment if value not in allowed)
             raise ValueError(f"assigned value {value!r} is not in the codomain")
 
-    def word(self) -> str:
-        """The assignment read off as a word, e.g. ``"011"``."""
-        return "".join(self.assignment)
-
 
 @dataclass(frozen=True)
 class CoveringSet:

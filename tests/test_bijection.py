@@ -32,7 +32,7 @@ from continuum.binary_streams import (
 from continuum.cli import run
 from continuum.dyadic import index_of
 from continuum.errors import DomainViolation
-from oracles import dyadic_at
+from oracles import assert_born_canonical, dyadic_at
 
 bits = st.text("01", max_size=8)
 streams = st.builds(EPBS, bits, st.text("01", min_size=1, max_size=8))
@@ -64,6 +64,9 @@ def test_enumerations_match_the_dyadic_reference():
         chain, redundant = expansions_of(point.fraction)
         assert t_enumerate(k) == chain
         assert s_enumerate(k) == redundant
+        # Built past EPBS's check: s_k = w0(1) is canonical in form, though redundant.
+        assert_born_canonical(t_enumerate(k))
+        assert_born_canonical(s_enumerate(k))
         assert t_index(chain) == index_of(point) == k
         assert s_index(redundant) == k
 

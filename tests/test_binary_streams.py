@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from continuum import binary_streams
+from continuum.bijection import derivation_trace
 from continuum.binary_streams import (
     EPBS,
     StreamClass,
@@ -24,6 +25,7 @@ from continuum.binary_streams import (
 )
 from continuum.dyadic import Dyadic, classify
 from continuum.errors import OutOfRange, ParseError
+from oracles import assert_born_canonical
 
 bits = st.text("01", max_size=8)
 streams = st.builds(EPBS, bits, st.text("01", min_size=1, max_size=8))
@@ -149,6 +151,7 @@ def test_parse_stream(text, pre, per):
         ("01(0)1", 6),
         ("0)1(0)", 1),
         ("(0", 2),
+        ("0(11", 4),  # no ')', though dropping the last character would leave a stream
     ],
 )
 def test_parse_stream_errors_carry_position(text, position):
@@ -296,6 +299,7 @@ def test_canonicalize_idempotent_and_value_preserving(stream):
 def test_canonicalize_matches_bit_by_bit_oracle(stream):
     canonical = canonicalize(stream)
     assert canonical == canonicalize_bit_by_bit(stream)
+    assert_born_canonical(canonical)
     if canonical == stream:
         assert canonical is stream
 
@@ -335,6 +339,7 @@ def test_canonicalize_absorbs_long_preambles(absorbed):
         canonical = canonicalize(stream)
         assert canonical == canonicalize_bit_by_bit(stream)
         assert len(canonical.preamble) <= 1000 - absorbed
+        assert_born_canonical(canonical)
 
 
 def test_canonical_equality_decides_stream_equality():
@@ -452,7 +457,12 @@ def test_everything_else_gets_one_expansion():
 def _assert_expansions_match_long_division(q):
     found = expansions_of(q)
     assert found == expansions_by_long_division(q)
-    assert all(canonicalize(e) == e for e in found)
+    for expansion in found:
+        assert_born_canonical(expansion)
+    if len(found) == 2:  # a dyadic point: each expansion is the other's dual
+        back = dual_of(found[1])
+        assert back == found[0]
+        assert_born_canonical(back)
 
 
 def test_expansions_match_long_division_below_400():
@@ -678,7 +688,10 @@ def test_enumerate_streams_count():
 def test_enumerate_canonical_matches_canonicalized_raw_streams(mu):
     unique = {canonicalize(e) for e in enumerate_streams(mu)}
     expected = tuple(sorted(unique, key=lambda e: (e.size, e.preamble, e.period)))
-    assert enumerate_canonical(mu) == expected
+    built = enumerate_canonical(mu)
+    assert built == expected
+    for stream in built:
+        assert_born_canonical(stream)
 
 
 @pytest.mark.parametrize("mu, count", [(8, 1716), (10, 8862), (12, 43560), (14, 206874)])
@@ -703,3 +716,20 @@ def test_enumerate_canonical_is_deterministic_and_unique():
     assert first == second
     assert len(set(first)) == len(first)
     assert all(canonicalize(e) == e for e in first)
+
+
+def test_the_public_check_is_intact(monkeypatch):
+    for preamble, period in (("0", "2"), ("", ""), (0, "1"), ("0", "1\u0663")):
+        with pytest.raises(ValueError):
+            EPBS(preamble, period)
+
+    def refuse(stream):
+        raise AssertionError(f"{stream} checked")
+
+    monkeypatch.setattr(EPBS, "__post_init__", refuse)
+    for build in (lambda: parse_stream("01(0)"), lambda: EPBS("01", "0")):
+        with pytest.raises(AssertionError, match=re.escape("01(0) checked")):
+            build()
+    # The streams the trace enumerates, expands, canonicalizes and maps are
+    # all built past the check.
+    assert derivation_trace(6).verdict == "pass"

@@ -40,6 +40,15 @@ def test_coverings_empty_domain():
     assert result.output == ""  # the single empty covering
 
 
+def test_coverings_with_longer_labels_print_each_covering_once():
+    # a + ba and ab + a are both "aba" when the labels are run together.
+    result = run(["coverings", "--exp", "x,y", "--base", "a,ab,ba"])
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    assert len(lines) == len(set(lines)) == 9
+    assert lines[:4] == ["a,a", "a,ab", "a,ba", "ab,a"]
+
+
 def _binary_labels(count):
     return ",".join(f"n{i}" for i in range(count))
 

@@ -112,7 +112,7 @@ def test_product_enumeration_order():
 
 def test_covering_set_of_three_with_two():
     cs = covering_set(FiniteSet(tuple("abc")), FiniteSet(tuple("01")))
-    words = [cov.word() for cov in cs]
+    words = ["".join(cov.assignment) for cov in cs]
     assert set(words) == {"000", "001", "010", "100", "011", "101", "110", "111"}
     assert words == sorted(words)  # lexicographic enumeration
 
