@@ -151,10 +151,10 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
 
 # Built by the first build_parser call and shared by every later command:
 # parse_args keeps no state in the parser between calls.
-_PARSER: argparse.ArgumentParser | None = None
+_PARSER: _Parser | None = None
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     global _PARSER
     if _PARSER is not None:
         return _PARSER
@@ -200,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--budget", type=_int_at_least(1), default=finite_sets.DEFAULT_BUDGET)
     trace.set_defaults(handler=_cmd_trace)
 
+    parser.subcommands = sub.choices  # name -> that subcommand's parser
     _PARSER = parser
     return parser
 
@@ -208,7 +209,13 @@ def run(argv: list[str]) -> CommandResult:
     """Dispatch one command line; never raises for user-level errors."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # A line that starts with a subcommand is parsed by that subcommand's parser alone; any
+        # other line, or one it leaves tokens over from, is parsed again by the top-level parser,
+        # so argparse itself writes every usage error and help text.
+        subparser = parser.subcommands.get(argv[0]) if argv else None
+        args, extra = subparser.parse_known_args(argv[1:]) if subparser else (None, None)
+        if extra or subparser is None:
+            args = parser.parse_args(argv)
         return CommandResult(0, output=args.handler(args))
     except _UsageError as err:
         return CommandResult(1, diagnostics=str(err))

@@ -1,8 +1,10 @@
 import contextlib
+import io
 import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -603,6 +605,32 @@ def test_parser_is_shared_across_usage_errors_and_help(capsys):
     assert [run(argv) for argv in commands] == before
 
 
+def readme_command_lines():
+    """The argv of each ``continuum`` example line in README's CLI section."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("continuum ")]
+
+
+def test_each_readme_example_is_parsed_once(monkeypatch):
+    # Only the subcommand's parser reads a well-formed line; the top-level
+    # parser would add a second parse_known_args call.
+    lines = readme_command_lines()
+    assert len(lines) == 12
+    original = cli._Parser.parse_known_args
+    parsed = []
+
+    def counted(parser, *args, **kwargs):
+        parsed.append(parser.prog)
+        return original(parser, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", counted)
+    for argv in lines:
+        parsed.clear()
+        assert run(argv).exit_code == 0, argv
+        assert parsed == [f"continuum {argv[0]}"], argv
+
+
 def test_main_wiring(monkeypatch, capsys):
     monkeypatch.setattr("sys.argv", ["continuum", "expand", "3/8"])
     assert main() == 0
@@ -708,6 +736,41 @@ def test_run_never_raises_on_any_command_line(argv):
     if result.exit_code == 2:
         assert result.output == ""
         assert DOMAIN_ERROR_LINE.fullmatch(result.diagnostics)
+
+
+def top_level_run(argv):
+    """The oracle for ``run``: the top-level parser parses every line, then the handler runs."""
+    try:
+        args = build_parser().parse_args(argv)
+        return cli.CommandResult(0, output=args.handler(args))
+    except cli._UsageError as err:
+        return cli.CommandResult(1, diagnostics=str(err))
+    except SystemExit as err:
+        return cli.CommandResult(int(err.code or 0))
+    except errors.DomainError as err:
+        return cli.CommandResult(2, diagnostics=f"{type(err).__name__}: {err}")
+
+
+def with_output(call, argv):
+    """``call(argv)`` with what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        result = call(argv)
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None)
+@given(command_lines)
+@example([])
+@example(["-h"])
+@example(["bogus"])
+@example(["map", "forward", "1(0)", "extra"])
+@example(["--", "map", "forward", "1(0)"])
+@example(["trace", "--mu-max", "3", "--mu-max", "4"])
+@example(["expand", "--bud", "5", "1/3"])
+@example(["map", "-h"])
+def test_run_answers_as_the_top_level_parser_does(argv):
+    assert with_output(run, argv) == with_output(top_level_run, argv)
 
 
 @settings(deadline=None)

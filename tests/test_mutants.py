@@ -6,7 +6,8 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "mutants.py"
 
 # Every mutant of ``describe`` but one fails these tests: none of them asks
-# about -1, so dropping ``x != -1`` from the ``and`` goes unnoticed.
+# about -1, so dropping ``x != -1`` from the ``and`` goes unnoticed. The
+# ``@given`` test draws only from x >= 0, under the tool's fixed seed.
 MODULE = '''\
 def describe(x):
     if x < 0 and x != -1:
@@ -14,6 +15,8 @@ def describe(x):
     return "odd" if x % 2 else "even"
 '''
 TESTS = '''\
+from hypothesis import given, strategies as st
+
 from describe import describe
 
 
@@ -21,6 +24,11 @@ def test_describe():
     assert describe(-3) == "negative"
     assert describe(4) == "even"
     assert describe(3) == "odd"
+
+
+@given(st.integers(min_value=0))
+def test_describe_parity(x):
+    assert describe(x) == ("odd" if x % 2 else "even")
 '''
 
 

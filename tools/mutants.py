@@ -11,15 +11,18 @@ MODULE:
 * one operand of an ``and`` or ``or`` is dropped;
 * a conditional expression becomes one of its two arms.
 
-Each worker, one per CPU, has its own copy of ``src/`` and ``tests/`` in
-a temporary directory and writes its mutants there, so the tree it is run
+Each worker, one per CPU, has its own copy of ``src/``, ``tests/`` and
+the files at the top of the tree (a test may read ``README.md``) in a
+temporary directory and writes its mutants there, so the tree it is run
 from is never written. A mutant is killed when
-``pytest -x -q -p no:cacheprovider TESTFILE...`` fails at the default
-limit on int to str, or runs past a time limit. A mutant that passes runs
-again with ``PYTHONINTMAXSTRDIGITS=0``, as CI does; only that run finds a
-fault in code that the limit alone reaches. Each run has at most 2 GiB of
-address space, so a mutant whose budget check is gone fails rather than
-fills the machine.
+``pytest -x -q -p no:cacheprovider --hypothesis-seed=0 TESTFILE...`` fails
+at the default limit on int to str, or runs past a time limit. The fixed
+seed makes hypothesis draw the same examples for every mutant and every
+run, so a score does not change from one run to the next. A mutant that
+passes runs again with ``PYTHONINTMAXSTRDIGITS=0``, as CI does; only that
+run finds a fault in code that the limit alone reaches. Each run has at
+most 2 GiB of address space, so a mutant whose budget check is gone fails
+rather than fills the machine.
 
 Prints one JSON line per surviving mutant (``module``, ``line``,
 ``mutation``), then one summary line starting with ``#``. Exits 1 when
@@ -120,7 +123,7 @@ def _run(copy: str, tests: list[str], digit_limit: str | None, timeout: float) -
     if digit_limit is not None:
         env["PYTHONINTMAXSTRDIGITS"] = digit_limit
     shutil.rmtree(os.path.join(copy, ".hypothesis"), ignore_errors=True)
-    argv = [sys.executable, "-c", _LIMITED, str(ADDRESS_SPACE), "-x", "-q", "-p", "no:cacheprovider", *tests]
+    argv = [sys.executable, "-c", _LIMITED, str(ADDRESS_SPACE), "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", *tests]
     child = subprocess.Popen(
         argv, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True
     )
@@ -137,6 +140,9 @@ def _copy_tree(root: str) -> str:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for part in ("src", "tests"):
         shutil.copytree(os.path.join(root, part), os.path.join(copy, part), ignore=ignore)
+    for entry in os.scandir(root):
+        if entry.is_file():
+            shutil.copy(entry.path, copy)
     return copy
 
 
