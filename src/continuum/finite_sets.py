@@ -13,12 +13,15 @@ defined as its size. The three exponent laws are verified by building
 the natural bijection between both sides element by element. The check
 runs on words of codomain positions: each image is glued from words by
 concatenation or table lookup and looked up among the right side's words.
+The covering tables themselves are glued too: each covering's word and
+label is a head of its first half joined to a tail of the rest.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -26,6 +29,8 @@ from typing import Callable, Iterable, Iterator
 from .errors import BudgetExceeded, DisjointnessViolation, _budget, _quantity
 
 DEFAULT_BUDGET = 1_000_000
+# The two columns of a witness's pairs.
+_LEFT, _RIGHT = operator.itemgetter(0), operator.itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -108,8 +113,8 @@ class LawWitness:
     pairs: tuple[tuple[str, str], ...]
 
     def is_bijection(self) -> bool:
-        lefts = {left for left, _ in self.pairs}
-        rights = {right for _, right in self.pairs}
+        lefts = set(map(_LEFT, self.pairs))
+        rights = set(map(_RIGHT, self.pairs))
         count = len(self.pairs)
         # With count == |left_set| and lefts == left_set, no left repeats.
         total = count == len(self.left_set) and lefts == self.left_set.members
@@ -263,14 +268,27 @@ def _bracket(values: Iterable[str]) -> str:
     return "[" + ",".join(values) + "]"
 
 
+def _glued(heads: list, tails: list) -> Iterator:
+    # Each head followed by each tail, head major: itertools.product's order over the joined positions.
+    return itertools.starmap(operator.add, itertools.product(heads, tails))
+
+
 def _coverings(length: int, codomain: FiniteSet) -> tuple[list[bytes], tuple[str, ...]]:
     # Words and labels of the coverings of ``length`` labels with ``codomain`` in covering_set's
     # order. A word is codomain positions as bytes: one byte each up to 256 labels, else two or four.
+    # From two positions on, each covering is glued from a head of ``length // 2`` positions and a tail
+    # of the rest, head major, so only the half tables are built one covering at a time.
     # Labels are built before words: with words first, peak RSS grew about 1 MB per repeated witness.
     width = 1 if len(codomain) <= 256 else 2 if len(codomain) <= 1 << 16 else 4
     encode = bytes if width == 1 else lambda word: b"".join(k.to_bytes(width, "little") for k in word)
-    labels = tuple(map(_bracket, itertools.product(codomain.elements, repeat=length)))
-    return list(map(encode, itertools.product(range(len(codomain)), repeat=length))), labels
+    if length < 2:
+        labels = tuple(map(_bracket, itertools.product(codomain.elements, repeat=length)))
+        return list(map(encode, itertools.product(range(len(codomain)), repeat=length))), labels
+    halves = (length // 2, length - length // 2)
+    heads, tails = (list(map(",".join, itertools.product(codomain.elements, repeat=k))) for k in halves)
+    labels = tuple(_glued(["[" + head + "," for head in heads], [tail + "]" for tail in tails]))
+    heads, tails = (list(map(encode, itertools.product(range(len(codomain)), repeat=k))) for k in halves)
+    return list(_glued(heads, tails)), labels
 
 
 def _witness(
@@ -285,13 +303,14 @@ def _witness(
         raise ValueError(f"an image is not a covering of {len(domain)} labels with {len(codomain)} labels") from None
     right = tuple(by_word.values())
     del by_word
-    return FiniteSet(tuple(left for left, _ in pairs)), FiniteSet(right), pairs
+    return FiniteSet(tuple(map(_LEFT, pairs))), FiniteSet(right), pairs
 
 
 def _add_exp_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSet, FiniteSet, tuple]:
     # Pairs of coverings (N -> M, P -> M)  <->  coverings of N (+) P with M.
-    fs, gs = zip(*_coverings(len(n), m)), tuple(zip(*_coverings(len(p), m)))
-    lefts = ((pair_label(f, g), f_word + g_word) for f_word, f in fs for g_word, g in gs)
+    (f_words, fs), (g_words, gs) = _coverings(len(n), m), _coverings(len(p), m)
+    images = _glued(f_words, g_words)
+    lefts = zip(itertools.starmap(pair_label, itertools.product(fs, gs)), images)
     return _witness(lefts, disjoint_union(n, p), m)
 
 
@@ -309,11 +328,9 @@ def _mul_exp_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSe
 
 def _curry_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSet, FiniteSet, tuple]:
     # Coverings of P with the covering-set (N | M)  <->  coverings of P x N with M.
-    inner = tuple(zip(*_coverings(len(n), m)))
-    lefts = (
-        (_bracket(label for _, label in outer), b"".join(word for word, _ in outer))
-        for outer in itertools.product(inner, repeat=len(p))
-    )
+    words, labels = _coverings(len(n), m)
+    images = map(b"".join, itertools.product(words, repeat=len(p)))
+    lefts = zip(map(_bracket, itertools.product(labels, repeat=len(p))), images)
     return _witness(lefts, product(p, n), m)
 
 

@@ -438,6 +438,26 @@ def test_law_witness_matches_oracle_past_one_byte_per_position(law_id, a, b, c):
     assert witness.right_set.elements == right
 
 
+def _one_line_coverings(length, codomain):
+    # The covering tables enumerated whole by itertools.product, one covering at a time.
+    width = 1 if len(codomain) <= 256 else 2 if len(codomain) <= 1 << 16 else 4
+    encode = bytes if width == 1 else lambda word: b"".join(k.to_bytes(width, "little") for k in word)
+    labels = tuple(map(_bracket, itertools.product(codomain.elements, repeat=length)))
+    return list(map(encode, itertools.product(range(len(codomain)), repeat=length))), labels
+
+
+@pytest.mark.parametrize(
+    "length, size", [(length, size) for length in range(6) for size in (1, 2, 3)] + [(2, 257)]
+)
+def test_glued_coverings_match_the_one_line_product(length, size):
+    # Odd and even splits into head and tail, and two-byte words split between them.
+    codomain = FiniteSet(tuple(f"M.e{i}" for i in range(size)))
+    words, labels = finite_sets._coverings(length, codomain)
+    expected_words, expected_labels = _one_line_coverings(length, codomain)
+    assert words == expected_words
+    assert labels == expected_labels
+
+
 def test_verify_rejects_a_builder_that_breaks_the_bijection(monkeypatch):
     original = finite_sets._LAW_BUILDERS["ADD_EXP"]
 
