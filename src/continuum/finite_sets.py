@@ -273,22 +273,27 @@ def _glued(heads: list, tails: list) -> Iterator:
     return itertools.starmap(operator.add, itertools.product(heads, tails))
 
 
-def _coverings(length: int, codomain: FiniteSet) -> tuple[list[bytes], tuple[str, ...]]:
-    # Words and labels of the coverings of ``length`` labels with ``codomain`` in covering_set's
-    # order. A word is codomain positions as bytes: one byte each up to 256 labels, else two or four.
-    # From two positions on, each covering is glued from a head of ``length // 2`` positions and a tail
-    # of the rest, head major, so only the half tables are built one covering at a time.
-    # Labels are built before words: with words first, peak RSS grew about 1 MB per repeated witness.
+def _halves(length: int, codomain: FiniteSet) -> tuple[tuple[list[bytes], list[str]], ...]:
+    # Words and labels of the head, the first ``length - length // 2`` positions, and of the tail, the
+    # rest. A word is codomain positions as bytes: one byte each up to 256 labels, else two or four.
+    # A head label is "[" and its labels joined by commas, a tail label its labels each after a comma
+    # and then "]": any head glued to any tail is a covering's label, at every length from 0 on.
     width = 1 if len(codomain) <= 256 else 2 if len(codomain) <= 1 << 16 else 4
     encode = bytes if width == 1 else lambda word: b"".join(k.to_bytes(width, "little") for k in word)
-    if length < 2:
-        labels = tuple(map(_bracket, itertools.product(codomain.elements, repeat=length)))
-        return list(map(encode, itertools.product(range(len(codomain)), repeat=length))), labels
-    halves = (length // 2, length - length // 2)
-    heads, tails = (list(map(",".join, itertools.product(codomain.elements, repeat=k))) for k in halves)
-    labels = tuple(_glued(["[" + head + "," for head in heads], [tail + "]" for tail in tails]))
-    heads, tails = (list(map(encode, itertools.product(range(len(codomain)), repeat=k))) for k in halves)
-    return list(_glued(heads, tails)), labels
+    positions, elements, k = range(len(codomain)), codomain.elements, length - length // 2
+    head_labels = ["[" + ",".join(h) for h in itertools.product(elements, repeat=k)]
+    tail_labels = [",".join(("",) + t) + "]" for t in itertools.product(elements, repeat=length - k)]
+    head_words, tail_words = (list(map(encode, itertools.product(positions, repeat=n))) for n in (k, length - k))
+    return (head_words, head_labels), (tail_words, tail_labels)
+
+
+def _coverings(length: int, codomain: FiniteSet) -> tuple[list[bytes], tuple[str, ...]]:
+    # Words and labels of the coverings of ``length`` labels with ``codomain`` in covering_set's
+    # order, each glued from a head and a tail, so only the half tables are built one covering at a time.
+    # Labels are glued before words: with words first, peak RSS grew about 1 MB per repeated witness.
+    (head_words, head_labels), (tail_words, tail_labels) = _halves(length, codomain)
+    labels = tuple(_glued(head_labels, tail_labels))
+    return list(_glued(head_words, tail_words)), labels
 
 
 def _witness(

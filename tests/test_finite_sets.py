@@ -458,6 +458,25 @@ def test_glued_coverings_match_the_one_line_product(length, size):
     assert labels == expected_labels
 
 
+def test_an_odd_split_of_two_byte_words_matches_the_one_line_product():
+    # Length 3 over 257 labels has 257^3 coverings, too many to build here. Its head (two positions)
+    # and tail (one) tables are checked whole against the one-line tables of lengths 2 and 1, and
+    # the glued order on the first 257^2 + 2 * 257 coverings, past the first position's first step.
+    codomain = FiniteSet(tuple(f"M.e{i}" for i in range(257)))
+    (head_words, head_labels), (tail_words, tail_labels) = finite_sets._halves(3, codomain)
+    words, labels = _one_line_coverings(2, codomain)
+    assert (head_words, head_labels) == (words, [label[:-1] for label in labels])
+    words, labels = _one_line_coverings(1, codomain)
+    assert (tail_words, tail_labels) == (words, ["," + label[1:] for label in labels])
+    count = 257**2 + 2 * 257
+    glued = zip(finite_sets._glued(head_words, tail_words), finite_sets._glued(head_labels, tail_labels))
+    expected = (
+        (b"".join(k.to_bytes(2, "little") for k in word), _bracket(codomain.elements[k] for k in word))
+        for word in itertools.product(range(257), repeat=3)
+    )
+    assert list(itertools.islice(glued, count)) == list(itertools.islice(expected, count))
+
+
 def test_verify_rejects_a_builder_that_breaks_the_bijection(monkeypatch):
     original = finite_sets._LAW_BUILDERS["ADD_EXP"]
 
