@@ -54,7 +54,7 @@ def _cmd_coverings(args) -> str:
     finite_sets.check_covering_budget(domain, codomain, args.budget)
     # Longer labels are joined by commas, which no label holds, so no two coverings print alike.
     sep = "" if all(len(label) == 1 for label in codomain) else ","
-    return "\n".join(sep.join(cov.assignment) for cov in finite_sets.covering_set(domain, codomain))
+    return "\n".join(finite_sets.covering_set(domain, codomain).lines(sep))
 
 
 def _cmd_laws(args) -> str:

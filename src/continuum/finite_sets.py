@@ -14,7 +14,10 @@ the natural bijection between both sides element by element. The check
 runs on words of codomain positions: each image is glued from words by
 concatenation or table lookup and looked up among the right side's words.
 The covering tables themselves are glued too: each covering's word and
-label is a head of its first half joined to a tail of the rest.
+label is a head of its first half joined to a tail of the rest. That one
+table serves every command: a covering-set is its words, ``coverings``
+prints lines glued from the same head and tail tables, and
+:func:`cardinal_pow` refuses past 10^6 coverings before it enumerates.
 """
 
 from __future__ import annotations
@@ -57,46 +60,32 @@ class FiniteSet:
         return label in self.members
 
 
-@dataclass(frozen=True, slots=True)
-class Covering:
-    """A total function from ``domain`` into ``codomain``.
+@dataclass(frozen=True)
+class CoveringSet:
+    """All coverings of ``domain`` with ``codomain``, enumerated once each.
 
-    ``assignment[i]`` is the value at ``domain.elements[i]``.
+    A covering is its word: the codomain positions of its values as bytes,
+    one byte each up to 256 codomain labels, else two or four, little-endian.
     """
 
     domain: FiniteSet
     codomain: FiniteSet
-    assignment: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.assignment) != len(self.domain.elements):
-            raise ValueError("assignment is not total over the domain")
-        allowed = self.codomain.members
-        if not allowed.issuperset(self.assignment):
-            value = next(value for value in self.assignment if value not in allowed)
-            raise ValueError(f"assigned value {value!r} is not in the codomain")
-
-
-@dataclass(frozen=True)
-class CoveringSet:
-    """All coverings of ``domain`` with ``codomain``, enumerated once each."""
-
-    domain: FiniteSet
-    codomain: FiniteSet
-    coverings: tuple[Covering, ...]
+    words: tuple[bytes, ...]
 
     def __post_init__(self):
         expected = len(self.codomain) ** len(self.domain)
-        if len(self.coverings) != expected:
-            raise ValueError(f"expected {expected} coverings, got {len(self.coverings)}")
-        if len({c.assignment for c in self.coverings}) != len(self.coverings):
+        if len(self.words) != expected:
+            raise ValueError(f"expected {expected} coverings, got {len(self.words)}")
+        if len(set(self.words)) != len(self.words):
             raise ValueError("coverings are not pairwise distinct")
 
     def __len__(self) -> int:
-        return len(self.coverings)
+        return len(self.words)
 
-    def __iter__(self) -> Iterator[Covering]:
-        return iter(self.coverings)
+    def lines(self, sep: str) -> Iterator[str]:
+        """Each covering's values joined by ``sep``, in the order of ``words``."""
+        (_, heads), (_, tails) = _halves(len(self.domain), self.codomain, sep, "")
+        return _glued(heads, tails)
 
 
 @dataclass(frozen=True)
@@ -166,11 +155,8 @@ def covering_set(domain: FiniteSet, codomain: FiniteSet) -> CoveringSet:
     single empty covering (so sizes follow ``|codomain| ** |domain|``
     with ``0 ** 0 == 1``).
     """
-    coverings = tuple(
-        Covering(domain, codomain, assignment)
-        for assignment in itertools.product(codomain.elements, repeat=len(domain))
-    )
-    return CoveringSet(domain, codomain, coverings)
+    (heads, _), (tails, _) = _halves(len(domain), codomain)
+    return CoveringSet(domain, codomain, tuple(_glued(heads, tails)))
 
 
 def _require_cardinals(**values: int) -> None:
@@ -201,9 +187,12 @@ def cardinal_mul(a: int, b: int) -> int:
 
 def cardinal_pow(a: int, b: int) -> int:
     """a ** b as the size of the covering-set of a b-element set with an
-    a-element set (``0 ** 0 == 1``: the empty covering)."""
+    a-element set (``0 ** 0 == 1``: the empty covering). Raises
+    :class:`BudgetExceeded` before enumerating past ``DEFAULT_BUDGET`` coverings."""
     _require_cardinals(a=a, b=b)
-    return len(covering_set(_witness_set(b), _witness_set(a)))
+    domain, codomain = _witness_set(b), _witness_set(a)
+    check_covering_budget(domain, codomain, DEFAULT_BUDGET)
+    return len(covering_set(domain, codomain))
 
 
 def _digit_limit() -> int:
@@ -264,25 +253,22 @@ def check_law_budget(law_id: str, a: int, b: int, c: int, budget: int) -> None:
     _require_within_budget(f"{law_id} with a={a} b={b} c={c}", budget, cost)
 
 
-def _bracket(values: Iterable[str]) -> str:
-    return "[" + ",".join(values) + "]"
-
-
 def _glued(heads: list, tails: list) -> Iterator:
     # Each head followed by each tail, head major: itertools.product's order over the joined positions.
     return itertools.starmap(operator.add, itertools.product(heads, tails))
 
 
-def _halves(length: int, codomain: FiniteSet) -> tuple[tuple[list[bytes], list[str]], ...]:
+def _halves(length: int, codomain: FiniteSet, sep: str = ",", ends: str = "[]") -> tuple[tuple[list[bytes], list[str]], ...]:
     # Words and labels of the head, the first ``length - length // 2`` positions, and of the tail, the
     # rest. A word is codomain positions as bytes: one byte each up to 256 labels, else two or four.
-    # A head label is "[" and its labels joined by commas, a tail label its labels each after a comma
-    # and then "]": any head glued to any tail is a covering's label, at every length from 0 on.
+    # A head label is the first of ``ends`` and its labels joined by ``sep``, a tail label its labels
+    # each after ``sep`` and then the last of ``ends``: any head glued to any tail is a covering's
+    # label, at every length from 0 on.
     width = 1 if len(codomain) <= 256 else 2 if len(codomain) <= 1 << 16 else 4
     encode = bytes if width == 1 else lambda word: b"".join(k.to_bytes(width, "little") for k in word)
     positions, elements, k = range(len(codomain)), codomain.elements, length - length // 2
-    head_labels = ["[" + ",".join(h) for h in itertools.product(elements, repeat=k)]
-    tail_labels = [",".join(("",) + t) + "]" for t in itertools.product(elements, repeat=length - k)]
+    head_labels = [ends[:1] + sep.join(h) for h in itertools.product(elements, repeat=k)]
+    tail_labels = [sep.join(("",) + t) + ends[1:] for t in itertools.product(elements, repeat=length - k)]
     head_words, tail_words = (list(map(encode, itertools.product(positions, repeat=n))) for n in (k, length - k))
     return (head_words, head_labels), (tail_words, tail_labels)
 
@@ -325,8 +311,8 @@ def _mul_exp_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSe
     mn = product(m, n)
     cells = dict(zip(mn, _coverings(1, mn)[0]))
     table = {(x, y): cells[pair_label(x, y)] for x in m for y in n}
-    fs = ((_bracket(f), f) for f in itertools.product(m, repeat=len(p)))
-    gs = tuple((_bracket(g), g) for g in itertools.product(n, repeat=len(p)))
+    fs = zip(_coverings(len(p), m)[1], itertools.product(m, repeat=len(p)))
+    gs = tuple(zip(_coverings(len(p), n)[1], itertools.product(n, repeat=len(p))))
     lefts = ((pair_label(f, g), b"".join(map(table.__getitem__, zip(xs, ys)))) for f, xs in fs for g, ys in gs)
     return _witness(lefts, p, mn)
 
@@ -335,7 +321,8 @@ def _curry_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSet,
     # Coverings of P with the covering-set (N | M)  <->  coverings of P x N with M.
     words, labels = _coverings(len(n), m)
     images = map(b"".join, itertools.product(words, repeat=len(p)))
-    lefts = zip(map(_bracket, itertools.product(labels, repeat=len(p))), images)
+    # The left labels are those of the coverings of P with the inner labels.
+    lefts = zip(_coverings(len(p), FiniteSet(labels))[1], images)
     return _witness(lefts, product(p, n), m)
 
 
