@@ -63,11 +63,11 @@ def _cmd_laws(args) -> str:
         finite_sets.check_law_budget(law, args.a, args.b, args.c, args.budget)
     lines = []
     for law in laws:
-        # verify_exponent_law raises unless the witness is a bijection.
-        witness = finite_sets.verify_exponent_law(law, args.a, args.b, args.c, args.budget)
+        # verify_exponent_law raises unless the witness is a bijection; its sizes are counted on words.
+        left, right = finite_sets.verify_exponent_law(law, args.a, args.b, args.c, args.budget).sizes()
         lines.append(
             f"{law} a={args.a} b={args.b} c={args.c}: "
-            f"|left|={len(witness.left_set)} |right|={len(witness.right_set)} "
+            f"|left|={left} |right|={right} "
             "bijection=valid"
         )
     return "\n".join(lines)

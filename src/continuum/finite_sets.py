@@ -9,21 +9,22 @@ checked *against*.
 
 A "covering of N with M" is a total function N -> M; the covering-set
 (N | M) is the set of all of them, and exponentiation of cardinals is
-defined as its size. The three exponent laws are verified by building
-the natural bijection between both sides element by element. The check
-runs on words of codomain positions: each image is glued from words by
-concatenation or table lookup and looked up among the right side's words.
-The covering tables themselves are glued too: each covering's word and
-label is a head of its first half joined to a tail of the rest. That one
-table serves every command: a covering-set is its words, ``coverings``
-prints lines glued from the same head and tail tables, and
-:func:`cardinal_pow` refuses past 10^6 coverings before it enumerates.
+defined as its size. The three exponent laws are verified by building the
+natural bijection between both sides element by element, on words of
+codomain positions: each image is glued from covering tables by
+concatenation or table lookup, and the images must be exactly the words of
+the enumerated right side. Labels are rendered only when a witness's
+``pairs``, ``left_set`` or ``right_set`` is read. Each covering's word or
+label is a head of its first half joined to a tail of the rest: a
+covering-set is its words, ``coverings`` prints lines glued the same way,
+and :func:`cardinal_pow` refuses on the two sizes before it builds a label.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -32,8 +33,6 @@ from typing import Callable, Iterable, Iterator
 from .errors import BudgetExceeded, DisjointnessViolation, _budget, _quantity
 
 DEFAULT_BUDGET = 1_000_000
-# The two columns of a witness's pairs.
-_LEFT, _RIGHT = operator.itemgetter(0), operator.itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -84,32 +83,64 @@ class CoveringSet:
 
     def lines(self, sep: str) -> Iterator[str]:
         """Each covering's values joined by ``sep``, in the order of ``words``."""
-        (_, heads), (_, tails) = _halves(len(self.domain), self.codomain, sep, "")
-        return _glued(heads, tails)
+        return _glued(*_label_halves(len(self.domain), self.codomain, sep, ""))
 
 
 @dataclass(frozen=True)
 class LawWitness:
-    """An explicit bijection witnessing one exponent law.
+    """An explicit bijection witnessing one exponent law, on words.
 
-    ``pairs`` maps every element of ``left_set`` to one of ``right_set``;
-    the witness is only meaningful if :meth:`is_bijection` holds.
+    The left side is the product of the covering tables in ``left``, in
+    itertools.product's order, and ``images`` holds the word of each left
+    element's image in that order. The right side is the enumerated table of
+    coverings of ``right[0]`` positions with ``right[1]`` codomain labels.
+    The witness is only meaningful if :meth:`is_bijection` holds. ``pairs``,
+    ``left_set`` and ``right_set`` render it as labels of the witness sets of
+    sizes ``a``, ``b``, ``c`` on first read; nothing else builds a label.
     """
 
     law_id: str
-    left_set: FiniteSet
-    right_set: FiniteSet
-    pairs: tuple[tuple[str, str], ...]
+    a: int
+    b: int
+    c: int
+    left: tuple[tuple[bytes, ...], ...]
+    images: tuple[bytes, ...]
+    right: tuple[int, int]
+
+    @functools.cached_property
+    def _right_halves(self) -> tuple[list[bytes], list[bytes]]:
+        return _word_halves(*self.right)
+
+    def sizes(self) -> tuple[int, int]:
+        """|left| and |right|, counted on the covering tables: no label is rendered."""
+        heads, tails = self._right_halves
+        return math.prod(map(len, self.left)), len(heads) * len(tails)
 
     def is_bijection(self) -> bool:
-        lefts = set(map(_LEFT, self.pairs))
-        rights = set(map(_RIGHT, self.pairs))
-        count = len(self.pairs)
-        # With count == |left_set| and lefts == left_set, no left repeats.
-        total = count == len(self.left_set) and lefts == self.left_set.members
-        injective = len(rights) == count
-        surjective = rights == self.right_set.members
+        count, (left_size, right_size) = len(self.images), self.sizes()
+        seen = set(self.images)
+        # Distinct words in every factor table make the left elements distinct.
+        total = count == left_size and all(len(set(table)) == len(table) for table in self.left)
+        injective = len(seen) == count
+        # The right words are distinct, so a set of as many words that holds each of them is exactly them.
+        surjective = len(seen) == right_size and all(map(seen.__contains__, _glued(*self._right_halves)))
         return total and injective and surjective
+
+    @functools.cached_property
+    def _rendered(self) -> tuple[FiniteSet, FiniteSet, tuple[tuple[str, str], ...]]:
+        m, n, p = _witness_set(self.a, "M."), _witness_set(self.b, "N."), _witness_set(self.c, "P.")
+        lefts, domain, codomain = _LAW_LABELS[self.law_id](m, n, p)
+        # Each right word's label; the pairs take the very strings that right_set holds.
+        by_word = dict(zip(_glued(*self._right_halves), _covering_labels(len(domain), codomain), strict=True))
+        try:
+            pairs = tuple(zip(lefts, map(by_word.__getitem__, self.images), strict=True))
+        except KeyError:
+            raise ValueError("an image is not a covering of {} labels with {} labels".format(*self.right)) from None
+        return FiniteSet(tuple(map(operator.itemgetter(0), pairs))), FiniteSet(tuple(by_word.values())), pairs
+
+    left_set = property(lambda self: self._rendered[0])
+    right_set = property(lambda self: self._rendered[1])
+    pairs = property(lambda self: self._rendered[2], doc="Each left label with its image's label, in left order.")
 
 
 def disjoint_union(left: FiniteSet, right: FiniteSet) -> FiniteSet:
@@ -142,9 +173,7 @@ def pair_label(left: str, right: str) -> str:
 
 def product(left: FiniteSet, right: FiniteSet) -> FiniteSet:
     """All ordered pairs as composite labels, left order major."""
-    return FiniteSet(
-        tuple(pair_label(a, b) for a in left for b in right)
-    )
+    return FiniteSet(tuple(pair_label(a, b) for a in left for b in right))
 
 
 def covering_set(domain: FiniteSet, codomain: FiniteSet) -> CoveringSet:
@@ -155,8 +184,7 @@ def covering_set(domain: FiniteSet, codomain: FiniteSet) -> CoveringSet:
     single empty covering (so sizes follow ``|codomain| ** |domain|``
     with ``0 ** 0 == 1``).
     """
-    (heads, _), (tails, _) = _halves(len(domain), codomain)
-    return CoveringSet(domain, codomain, tuple(_glued(heads, tails)))
+    return CoveringSet(domain, codomain, tuple(_glued(*_word_halves(len(domain), len(codomain)))))
 
 
 def _require_cardinals(**values: int) -> None:
@@ -188,11 +216,13 @@ def cardinal_mul(a: int, b: int) -> int:
 def cardinal_pow(a: int, b: int) -> int:
     """a ** b as the size of the covering-set of a b-element set with an
     a-element set (``0 ** 0 == 1``: the empty covering). Raises
-    :class:`BudgetExceeded` before enumerating past ``DEFAULT_BUDGET`` coverings."""
+    :class:`BudgetExceeded`, building no label, when the coverings, or they
+    and the a + b witness labels, pass ``DEFAULT_BUDGET`` items."""
     _require_cardinals(a=a, b=b)
-    domain, codomain = _witness_set(b), _witness_set(a)
-    check_covering_budget(domain, codomain, DEFAULT_BUDGET)
-    return len(covering_set(domain, codomain))
+    # On the two sizes alone: the coverings, then they and the labels as check_law_budget counts them.
+    _require_within_budget(f"coverings of {b} labels with {a} labels", DEFAULT_BUDGET, lambda power: power(a, b))
+    _require_within_budget(f"cardinal_pow with a={a} b={b}", DEFAULT_BUDGET, lambda power: a + b + power(a, b))
+    return len(covering_set(_witness_set(b), _witness_set(a)))
 
 
 def _digit_limit() -> int:
@@ -258,72 +288,78 @@ def _glued(heads: list, tails: list) -> Iterator:
     return itertools.starmap(operator.add, itertools.product(heads, tails))
 
 
-def _halves(length: int, codomain: FiniteSet, sep: str = ",", ends: str = "[]") -> tuple[tuple[list[bytes], list[str]], ...]:
-    # Words and labels of the head, the first ``length - length // 2`` positions, and of the tail, the
-    # rest. A word is codomain positions as bytes: one byte each up to 256 labels, else two or four.
-    # A head label is the first of ``ends`` and its labels joined by ``sep``, a tail label its labels
-    # each after ``sep`` and then the last of ``ends``: any head glued to any tail is a covering's
-    # label, at every length from 0 on.
-    width = 1 if len(codomain) <= 256 else 2 if len(codomain) <= 1 << 16 else 4
+def _halves(length: int, alphabet: Iterable, head: Callable, tail: Callable) -> tuple[list, list]:
+    # ``head`` of every tuple of ``alphabet`` over the first ``length - length // 2`` positions, and
+    # ``tail`` of every tuple over the rest, each in itertools.product's order. Words and labels are
+    # both made here, so any head glued to any tail is a covering's, at every length from 0 on.
+    k = length - length // 2
+    return list(map(head, itertools.product(alphabet, repeat=k))), list(map(tail, itertools.product(alphabet, repeat=length - k)))
+
+
+def _word_halves(length: int, size: int) -> tuple[list[bytes], list[bytes]]:
+    # A word is codomain positions as bytes: one byte each up to 256 labels, else two or four.
+    width = 1 if size <= 256 else 2 if size <= 1 << 16 else 4
     encode = bytes if width == 1 else lambda word: b"".join(k.to_bytes(width, "little") for k in word)
-    positions, elements, k = range(len(codomain)), codomain.elements, length - length // 2
-    head_labels = [ends[:1] + sep.join(h) for h in itertools.product(elements, repeat=k)]
-    tail_labels = [sep.join(("",) + t) + ends[1:] for t in itertools.product(elements, repeat=length - k)]
-    head_words, tail_words = (list(map(encode, itertools.product(positions, repeat=n))) for n in (k, length - k))
-    return (head_words, head_labels), (tail_words, tail_labels)
+    return _halves(length, range(size), encode, encode)
 
 
-def _coverings(length: int, codomain: FiniteSet) -> tuple[list[bytes], tuple[str, ...]]:
-    # Words and labels of the coverings of ``length`` labels with ``codomain`` in covering_set's
-    # order, each glued from a head and a tail, so only the half tables are built one covering at a time.
-    # Labels are glued before words: with words first, peak RSS grew about 1 MB per repeated witness.
-    (head_words, head_labels), (tail_words, tail_labels) = _halves(length, codomain)
-    labels = tuple(_glued(head_labels, tail_labels))
-    return list(_glued(head_words, tail_words)), labels
+def _label_halves(length: int, codomain: FiniteSet, sep: str = ",", ends: str = "[]") -> tuple[list[str], list[str]]:
+    # A head label is the first of ``ends`` and its labels joined by ``sep``, a tail label its labels
+    # each after ``sep`` and then the last of ``ends``.
+    return _halves(length, codomain.elements, lambda h: ends[:1] + sep.join(h), lambda t: sep.join(("",) + t) + ends[1:])
 
 
-def _witness(
-    lefts: Iterable[tuple[str, bytes]], domain: FiniteSet, codomain: FiniteSet
-) -> tuple[FiniteSet, FiniteSet, tuple]:
-    # Pairs each left label with the label of the covering whose word is its image; a word that is
-    # no covering's misses. The dict from word to label goes before either set is built.
-    by_word = dict(zip(*_coverings(len(domain), codomain)))
-    try:
-        pairs = tuple([(left, by_word[image]) for left, image in lefts])
-    except KeyError:
-        raise ValueError(f"an image is not a covering of {len(domain)} labels with {len(codomain)} labels") from None
-    right = tuple(by_word.values())
-    del by_word
-    return FiniteSet(tuple(map(_LEFT, pairs))), FiniteSet(right), pairs
+def _covering_words(length: int, size: int) -> tuple[bytes, ...]:
+    # The words of the coverings of ``length`` labels with ``size`` labels, in covering_set's order.
+    return tuple(_glued(*_word_halves(length, size)))
 
 
-def _add_exp_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSet, FiniteSet, tuple]:
+def _covering_labels(length: int, codomain: FiniteSet) -> tuple[str, ...]:
+    # Their labels, "[v0,v1,...]", in the same order; only a witness's rendering builds them.
+    return tuple(_glued(*_label_halves(length, codomain)))
+
+
+def _add_exp_witness(a: int, b: int, c: int) -> tuple[tuple, tuple[bytes, ...], tuple[int, int]]:
     # Pairs of coverings (N -> M, P -> M)  <->  coverings of N (+) P with M.
-    (f_words, fs), (g_words, gs) = _coverings(len(n), m), _coverings(len(p), m)
-    images = _glued(f_words, g_words)
-    lefts = zip(itertools.starmap(pair_label, itertools.product(fs, gs)), images)
-    return _witness(lefts, disjoint_union(n, p), m)
+    fs, gs = _covering_words(b, a), _covering_words(c, a)
+    return (fs, gs), tuple(_glued(fs, gs)), (b + c, a)
 
 
-def _mul_exp_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSet, FiniteSet, tuple]:
-    # Pairs of coverings (P -> M, P -> N)  <->  coverings of P with M x N. The
-    # one-position word of each (x, y) is read off the enumerated product.
-    mn = product(m, n)
-    cells = dict(zip(mn, _coverings(1, mn)[0]))
-    table = {(x, y): cells[pair_label(x, y)] for x in m for y in n}
-    fs = zip(_coverings(len(p), m)[1], itertools.product(m, repeat=len(p)))
-    gs = tuple(zip(_coverings(len(p), n)[1], itertools.product(n, repeat=len(p))))
-    lefts = ((pair_label(f, g), b"".join(map(table.__getitem__, zip(xs, ys)))) for f, xs in fs for g, ys in gs)
-    return _witness(lefts, p, mn)
+def _mul_exp_witness(a: int, b: int, c: int) -> tuple[tuple, tuple[bytes, ...], tuple[int, int]]:
+    # Pairs of coverings (P -> M, P -> N)  <->  coverings of P with M x N. The one-position word of
+    # each (x, y) is read off the enumerated product. For each head and tail of f, the row of cells
+    # with every head of g is glued to the row with every tail of g, which is g's order.
+    cell = dict(zip(itertools.product(range(a), range(b)), _covering_words(1, a * b)))
+
+    def rows(length: int) -> list[list[bytes]]:
+        ys = list(itertools.product(range(b), repeat=length))
+        return [[b"".join(map(cell.__getitem__, zip(x, y))) for y in ys] for x in itertools.product(range(a), repeat=length)]
+
+    k = c - c // 2
+    images = itertools.chain.from_iterable(itertools.starmap(_glued, itertools.product(rows(k), rows(c - k))))
+    return (_covering_words(c, a), _covering_words(c, b)), tuple(images), (c, len(cell))
 
 
-def _curry_witness(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[FiniteSet, FiniteSet, tuple]:
+def _curry_witness(a: int, b: int, c: int) -> tuple[tuple, tuple[bytes, ...], tuple[int, int]]:
     # Coverings of P with the covering-set (N | M)  <->  coverings of P x N with M.
-    words, labels = _coverings(len(n), m)
-    images = map(b"".join, itertools.product(words, repeat=len(p)))
+    inner = _covering_words(b, a)
+    return (inner,) * c, tuple(map(b"".join, itertools.product(inner, repeat=c))), (c * b, a)
+
+
+def _add_exp_labels(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[Iterable[str], FiniteSet, FiniteSet]:
+    # The left labels, and the domain and codomain of the right side.
+    fs, gs = _covering_labels(len(n), m), _covering_labels(len(p), m)
+    return itertools.starmap(pair_label, itertools.product(fs, gs)), disjoint_union(n, p), m
+
+
+def _mul_exp_labels(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[Iterable[str], FiniteSet, FiniteSet]:
+    fs, gs = _covering_labels(len(p), m), _covering_labels(len(p), n)
+    return itertools.starmap(pair_label, itertools.product(fs, gs)), p, product(m, n)
+
+
+def _curry_labels(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[Iterable[str], FiniteSet, FiniteSet]:
     # The left labels are those of the coverings of P with the inner labels.
-    lefts = zip(_coverings(len(p), FiniteSet(labels))[1], images)
-    return _witness(lefts, product(p, n), m)
+    return _covering_labels(len(p), FiniteSet(_covering_labels(len(n), m))), product(p, n), m
 
 
 _LAW_BUILDERS = {
@@ -331,6 +367,7 @@ _LAW_BUILDERS = {
     "MUL_EXP": _mul_exp_witness,
     "CURRY": _curry_witness,
 }
+_LAW_LABELS = {"ADD_EXP": _add_exp_labels, "MUL_EXP": _mul_exp_labels, "CURRY": _curry_labels}
 LAW_IDS = tuple(_LAW_BUILDERS)
 
 
@@ -345,16 +382,17 @@ def verify_exponent_law(
     * ``MUL_EXP``:  (P|M) x (P|N)  ~  (P | M x N)        [a^c * b^c = (a*b)^c]
     * ``CURRY``:    (P | (N|M))    ~  (P x N | M)        [(a^b)^c = a^(b*c)]
 
-    The returned witness's ``pairs`` is the natural bijection, fully
-    enumerated and validated. Raises :class:`BudgetExceeded` before
-    enumerating anything when the total item count would pass ``budget``.
+    The returned witness is the natural bijection on words, fully enumerated
+    and validated; its ``pairs``, ``left_set`` and ``right_set`` render it as
+    labels when read. Raises :class:`BudgetExceeded` before enumerating
+    anything when the total item count would pass ``budget``, and
+    ``ValueError`` when an image is not a covering of the right side.
     """
     check_law_budget(law_id, a, b, c, budget)
-    m = _witness_set(a, "M.")
-    n = _witness_set(b, "N.")
-    p = _witness_set(c, "P.")
-    left_set, right_set, pairs = _LAW_BUILDERS[law_id](m, n, p)
-    witness = LawWitness(law_id, left_set, right_set, pairs)
+    witness = LawWitness(law_id, a, b, c, *_LAW_BUILDERS[law_id](a, b, c))
     if not witness.is_bijection():
+        # A bijection's images are exactly the right words, so only a failed check looks for a stray one.
+        if not set(_glued(*witness._right_halves)).issuperset(witness.images):
+            raise ValueError("an image is not a covering of {} labels with {} labels".format(*witness.right))
         raise AssertionError(f"constructed {law_id} witness is not a bijection")
     return witness

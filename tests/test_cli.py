@@ -118,6 +118,44 @@ def test_laws_checks_each_witness_once(monkeypatch):
     assert checks == ["ADD_EXP", "MUL_EXP", "CURRY"]
 
 
+def test_laws_renders_no_label(monkeypatch):
+    # laws prints sizes and verdicts only: no witness set, covering label or pair label is built.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a label was built")
+
+    for name in ("pair_label", "_covering_labels", "_label_halves", "_witness_set"):
+        monkeypatch.setattr(finite_sets, name, unreachable)
+    monkeypatch.setattr(finite_sets.FiniteSet, "__post_init__", unreachable)
+    witnesses, original = [], finite_sets.verify_exponent_law
+
+    def kept(*args):
+        witnesses.append(original(*args))
+        return witnesses[-1]
+
+    monkeypatch.setattr(finite_sets, "verify_exponent_law", kept)
+    result = run(["laws", "--check", "all", "--a", "2", "--b", "2", "--c", "2"])
+    assert result.exit_code == 0, result.diagnostics
+    assert result.output == "\n".join(
+        f"{law} a=2 b=2 c=2: |left|=16 |right|=16 bijection=valid" for law in finite_sets.LAW_IDS
+    )
+    assert [w.law_id for w in witnesses] == list(finite_sets.LAW_IDS)
+    assert not any("_rendered" in vars(w) for w in witnesses)
+
+
+def test_laws_add_exp_2_9_9_stays_under_60_mib():
+    # 262 144 pairs, checked on words: 127 MiB of tracemalloc peak when every label was built.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = run(["laws", "--check", "ADD_EXP", "--a", "2", "--b", "9", "--c", "9"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.output == "ADD_EXP a=2 b=9 c=9: |left|=262144 |right|=262144 bijection=valid"
+    assert peak < 60 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
+
+
 def test_laws_past_one_byte_per_position():
     # 512 coverings of P with the 512 coverings of N with M.
     result = run(["laws", "--check", "CURRY", "--a", "2", "--b", "9", "--c", "1"])

@@ -198,6 +198,32 @@ def test_cardinal_pow_refuses_before_it_enumerates():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "a, b, count",
+    [(2, 10**6, "more than 2^"), (2, 10**7, "more than 2^"), (1, 2 * 10**6, "2000002"), (0, 2 * 10**6, "2000000"), (10**6, 1, "2000001")],
+)
+def test_cardinal_pow_refuses_on_the_sizes_alone(a, b, count):
+    # No witness label is built: a in {0, 1} has a budget too, counting the a + b labels.
+    import tracemalloc
+
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(BudgetExceeded, match=rf" would enumerate {re.escape(count)}"):
+            cardinal_pow(a, b)
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 2**20
+
+
+def test_cardinal_pow_counts_labels_beside_the_coverings():
+    # 999 999 + 1 labels and one covering: one item past the budget.
+    with pytest.raises(BudgetExceeded, match=r"^cardinal_pow with a=1 b=999999 would enumerate 1000001 items \(budget 1000000\)$"):
+        cardinal_pow(1, 999_999)
+
+
 def test_cardinal_ops_reject_negatives():
     for op in (cardinal_add, cardinal_mul, cardinal_pow):
         with pytest.raises(ValueError):
@@ -332,13 +358,10 @@ def test_a_budget_past_20_digits_is_named_by_its_bit_length(refuse):
 
 def test_law_witness_detects_bad_pairs():
     witness = verify_exponent_law("ADD_EXP", 2, 1, 1)
-    broken = LawWitness(
-        witness.law_id,
-        witness.left_set,
-        witness.right_set,
-        witness.pairs[:-1] + (witness.pairs[0],),
-    )
+    broken = dataclasses.replace(witness, images=witness.images[:-1] + witness.images[:1])
     assert not broken.is_bijection()
+    # Rendered, the last left label now takes the first one's image.
+    assert broken.pairs == witness.pairs[:-1] + ((witness.pairs[-1][0], witness.pairs[0][1]),)
 
 
 # Oracle for the law witnesses: the expected sets and pairs are spelled out
@@ -397,18 +420,21 @@ def test_pair_right_labels_are_the_right_set_strings(law_id, a, b, c):
 
 
 def test_witness_refuses_images_that_are_not_coverings(monkeypatch):
-    domain, codomain = FiniteSet(("x", "y")), FiniteSet(("a", "b", "a,b"))
-    _, _, pairs = finite_sets._witness([("f", bytes([0, 1]))], domain, codomain)
-    assert pairs == (("f", "[a,b]"),)
-    # A position past the codomain, and a word of the wrong length: the word
-    # of "a,b" alone, whose label would read "[a,b]" as well.
+    # ADD_EXP 3,1,1: its right side is the coverings of 2 labels with 3 labels.
+    witness = verify_exponent_law("ADD_EXP", 3, 1, 1)
+    assert witness.images[1] == bytes([0, 1])
+    assert witness.pairs[1] == ("([M.e0],[M.e1])", "[M.e0,M.e1]")
+    # A position past the codomain, and a word of the wrong length: a word is
+    # looked up whole among the right words, never read position by position.
     for image in (bytes([0, 3]), bytes([2])):
+        stray = dataclasses.replace(witness, images=(image,) + witness.images[1:])
+        assert not stray.is_bijection()
         with pytest.raises(ValueError, match="not a covering of 2 labels with 3 labels") as refused:
-            finite_sets._witness([("f", image)], domain, codomain)
+            stray.pairs
         assert not isinstance(refused.value, KeyError)
 
-    def foreign(m, n, p):
-        return finite_sets._witness([("f", bytes([len(m)]) * (len(n) + len(p)))], disjoint_union(n, p), m)
+    def foreign(a, b, c):
+        return ((b"f",),), (bytes([a]) * (b + c),), (b + c, a)
 
     monkeypatch.setitem(finite_sets._LAW_BUILDERS, "ADD_EXP", foreign)
     with pytest.raises(ValueError, match="not a covering"):
@@ -423,6 +449,13 @@ def test_law_witness_matches_oracle_past_one_byte_per_position(law_id, a, b, c):
     _, right, pairs = _oracle_witness(law_id, a, b, c)
     assert witness.pairs == pairs
     assert witness.right_set.elements == right
+
+
+@pytest.mark.parametrize("law_id, a, b, c", [("MUL_EXP", 2, 3, 3), ("MUL_EXP", 3, 2, 4), ("MUL_EXP", 1, 3, 5)])
+def test_mul_exp_rows_glued_past_one_position_match_the_oracle(law_id, a, b, c):
+    # P of 3, 4 and 5 labels: heads of two or three positions glued to tails of one or two.
+    witness = verify_exponent_law(law_id, a, b, c)
+    assert witness.pairs == _oracle_witness(law_id, a, b, c)[2]
 
 
 def _one_line_coverings(length, codomain):
@@ -440,9 +473,9 @@ def test_glued_coverings_match_the_one_line_product(length, size):
     # Odd and even splits into head and tail, and two-byte words split between them; the law
     # witnesses' tables, and covering_set's words and lines with either separator.
     codomain = FiniteSet(tuple(f"M.e{i}" for i in range(size)))
-    words, labels = finite_sets._coverings(length, codomain)
+    words, labels = finite_sets._covering_words(length, size), finite_sets._covering_labels(length, codomain)
     expected_words, expected_labels = _one_line_coverings(length, codomain)
-    assert words == expected_words
+    assert words == tuple(expected_words)
     assert labels == expected_labels
     cs = covering_set(FiniteSet(tuple(f"N.e{i}" for i in range(length))), codomain)
     assert cs.words == tuple(expected_words)
@@ -456,7 +489,7 @@ def test_an_odd_split_of_two_byte_words_matches_the_one_line_product():
     # and tail (one) tables are checked whole against the one-line tables of lengths 2 and 1, and
     # the glued order on the first 257^2 + 2 * 257 coverings, past the first position's first step.
     codomain = FiniteSet(tuple(f"M.e{i}" for i in range(257)))
-    (head_words, head_labels), (tail_words, tail_labels) = finite_sets._halves(3, codomain)
+    (head_words, tail_words), (head_labels, tail_labels) = finite_sets._word_halves(3, 257), finite_sets._label_halves(3, codomain)
     words, labels = _one_line_coverings(2, codomain)
     assert (head_words, head_labels) == (words, [label[:-1] for label in labels])
     words, labels = _one_line_coverings(1, codomain)
@@ -473,17 +506,15 @@ def test_an_odd_split_of_two_byte_words_matches_the_one_line_product():
 def test_verify_rejects_a_builder_that_breaks_the_bijection(monkeypatch):
     original = finite_sets._LAW_BUILDERS["ADD_EXP"]
 
-    def exchanged(m, n, p):
-        # Exchanging the right labels of two pairs is still a bijection,
+    def exchanged(a, b, c):
+        # Exchanging the images of two left elements is still a bijection,
         # only not the natural one; the oracle comparison catches that.
-        left_set, right_set, pairs = original(m, n, p)
-        (l0, r0), (l1, r1) = pairs[:2]
-        return left_set, right_set, ((l0, r1), (l1, r0)) + pairs[2:]
+        left, images, right = original(a, b, c)
+        return left, images[1::-1] + images[2:], right
 
-    def collided(m, n, p):
-        left_set, right_set, pairs = original(m, n, p)
-        (l0, r0), (l1, _) = pairs[:2]
-        return left_set, right_set, ((l0, r0), (l1, r0)) + pairs[2:]
+    def collided(a, b, c):
+        left, images, right = original(a, b, c)
+        return left, images[:1] * 2 + images[2:], right
 
     monkeypatch.setitem(finite_sets._LAW_BUILDERS, "ADD_EXP", exchanged)
     witness = verify_exponent_law("ADD_EXP", 2, 2, 3)
@@ -496,8 +527,8 @@ def test_verify_rejects_a_builder_that_breaks_the_bijection(monkeypatch):
 def test_law_witness_verdict_is_per_instance():
     witness = verify_exponent_law("MUL_EXP", 2, 2, 2)
     assert witness.is_bijection()
-    broken = witness.pairs[:-1] + (witness.pairs[0],)
-    assert not dataclasses.replace(witness, pairs=broken).is_bijection()
+    broken = witness.images[:-1] + witness.images[:1]
+    assert not dataclasses.replace(witness, images=broken).is_bijection()
     assert witness.is_bijection()
 
 
@@ -512,4 +543,39 @@ def test_law_witness_verdict_is_per_instance():
     ],
 )
 def test_law_witness_checks_each_property(left, right, pairs):
-    assert not LawWitness("ADD_EXP", FiniteSet(tuple(left)), FiniteSet(tuple(right)), pairs).is_bijection()
+    assert not _word_form(left, right, pairs).is_bijection()
+
+
+def _word_form(left, right, pairs):
+    # A map between one-letter labels, spelt as a witness on words: the left side is one table of
+    # each pair's left label, then every left label no pair names; the right side is the coverings
+    # of one label with len(right), and an image is its right label's position.
+    named = [label for label, _ in pairs]
+    table = tuple(label.encode() for label in named + [label for label in left if label not in named])
+    images = tuple(bytes([right.index(label)]) for _, label in pairs)
+    return LawWitness("ADD_EXP", 0, 0, 0, (table,), images, (1, len(right)))
+
+
+@pytest.mark.parametrize(
+    "left, right, pairs",
+    [
+        ("", "", ()),
+        ("ab", "xy", (("a", "y"), ("b", "x"))),
+        ("abc", "xyz", (("b", "x"), ("c", "z"), ("a", "y"))),
+    ],
+)
+def test_word_form_of_a_bijection_is_one(left, right, pairs):
+    assert _word_form(left, right, pairs).is_bijection()
+
+
+def test_law_witness_left_side_is_the_product_of_its_tables():
+    # Two tables of two words: four left elements, each with one image.
+    tables, words = ((b"a", b"b"), (b"x", b"y")), finite_sets._covering_words(2, 2)
+    assert LawWitness("ADD_EXP", 0, 0, 0, tables, words, (2, 2)).is_bijection()
+    assert LawWitness("ADD_EXP", 0, 0, 0, tables, words, (2, 2)).sizes() == (4, 4)
+    assert not LawWitness("ADD_EXP", 0, 0, 0, tables[:1], words, (2, 2)).is_bijection()
+    # A word repeats in the second table: (a,x) and (a,x) again, though the images differ.
+    assert not LawWitness("ADD_EXP", 0, 0, 0, (tables[0], (b"x", b"x")), words, (2, 2)).is_bijection()
+    # Six left elements with six distinct images: all four right words, and two that are none.
+    six, strays = (tables[0] + (b"c",), tables[1]), (bytes([2, 0]), bytes([0, 2]))
+    assert not LawWitness("ADD_EXP", 0, 0, 0, six, words + strays, (2, 2)).is_bijection()
