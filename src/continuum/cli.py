@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import bijection, binary_streams, dyadic, finite_sets
-from .errors import BudgetExceeded, DomainError, _budget
+from .errors import BudgetExceeded, DomainError, _size
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def _cmd_expand(args) -> str:
     bound = binary_streams.period_bound(point)
     if bound > args.budget:
         found = f"= {bound}" if bound.bit_length() <= 64 else f">= 2^{bound.bit_length() - 1}"
-        raise BudgetExceeded(f"expand would search a period of up to b' - 1 {found} bits (budget {_budget(args.budget)})")
+        raise BudgetExceeded(f"expand would search a period of up to b' - 1 {found} bits (budget {_size(args.budget)})")
     expansions = binary_streams.expansions_of(point)
     return "\n".join(str(e) for e in expansions)
 

@@ -28,9 +28,9 @@ def _quantity(count: int | None, exponent: int) -> str:
     return f"more than 2^{exponent}"
 
 
-def _budget(budget: int) -> str:
-    """``budget`` in decimal up to 20 digits, else ``at least 2^k`` with k its bit length less one."""
-    return str(budget) if budget < 10**_EXCERPT else f"at least 2^{budget.bit_length() - 1}"
+def _size(size: int) -> str:
+    """``size`` in decimal up to 20 digits, else ``at least 2^k`` with k its bit length less one."""
+    return str(size) if size < 10**_EXCERPT else f"at least 2^{size.bit_length() - 1}"
 
 
 class DomainError(Exception):

@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .errors import BudgetExceeded, DisjointnessViolation, _budget, _quantity
+from .errors import BudgetExceeded, DisjointnessViolation, _quantity, _size
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -91,12 +91,12 @@ class LawWitness:
     """An explicit bijection witnessing one exponent law, on words.
 
     The left side is the product of the covering tables in ``left``, in
-    itertools.product's order, and ``images`` holds the word of each left
-    element's image in that order. The right side is the enumerated table of
-    coverings of ``right[0]`` positions with ``right[1]`` codomain labels.
-    The witness is only meaningful if :meth:`is_bijection` holds. ``pairs``,
-    ``left_set`` and ``right_set`` render it as labels of the witness sets of
-    sizes ``a``, ``b``, ``c`` on first read; nothing else builds a label.
+    itertools.product's order, and ``images`` holds each left element's image
+    word in that order. The right side, the coverings of ``right[0]`` positions
+    with ``right[1]`` labels, is checked distinct on its head and tail tables;
+    in-order images are compared with it word by word, permuted ones as a set.
+    ``pairs``, ``left_set`` and ``right_set`` render labels of the witness sets
+    of sizes ``a``, ``b``, ``c`` on first read; nothing else builds a label.
     """
 
     law_id: str
@@ -117,14 +117,14 @@ class LawWitness:
         return math.prod(map(len, self.left)), len(heads) * len(tails)
 
     def is_bijection(self) -> bool:
-        count, (left_size, right_size) = len(self.images), self.sizes()
-        seen = set(self.images)
-        # Distinct words in every factor table make the left elements distinct.
-        total = count == left_size and all(len(set(table)) == len(table) for table in self.left)
-        injective = len(seen) == count
-        # The right words are distinct, so a set of as many words that holds each of them is exactly them.
-        surjective = len(seen) == right_size and all(map(seen.__contains__, _glued(*self._right_halves)))
-        return total and injective and surjective
+        """One image per left element, both sides distinct, and the images are the right words, in order or as a set."""
+        (heads, tails), (left_size, right_size) = self._right_halves, self.sizes()
+        # Distinct factor words make distinct left elements; distinct heads of one length, each followed by distinct
+        # tails, make distinct right words. Equal counts first: the in-order comparison stops at the shorter side.
+        if not (len(self.images) == left_size == right_size and all(len(set(table)) == len(table) for table in self.left)
+                and len(set(map(len, heads))) <= 1 and len(set(heads)) == len(heads) and len(set(tails)) == len(tails)):
+            return False
+        return all(map(operator.eq, self.images, _glued(heads, tails))) or set(self.images).issuperset(_glued(heads, tails))
 
     @functools.cached_property
     def _rendered(self) -> tuple[FiniteSet, FiniteSet, tuple[tuple[str, str], ...]]:
@@ -220,8 +220,8 @@ def cardinal_pow(a: int, b: int) -> int:
     and the a + b witness labels, pass ``DEFAULT_BUDGET`` items."""
     _require_cardinals(a=a, b=b)
     # On the two sizes alone: the coverings, then they and the labels as check_law_budget counts them.
-    _require_within_budget(f"coverings of {b} labels with {a} labels", DEFAULT_BUDGET, lambda power: power(a, b))
-    _require_within_budget(f"cardinal_pow with a={a} b={b}", DEFAULT_BUDGET, lambda power: a + b + power(a, b))
+    _require_within_budget(f"coverings of {_size(b)} labels with {_size(a)} labels", DEFAULT_BUDGET, lambda power: power(a, b))
+    _require_within_budget(f"cardinal_pow with a={_size(a)} b={_size(b)}", DEFAULT_BUDGET, lambda power: a + b + power(a, b))
     return len(covering_set(_witness_set(b), _witness_set(a)))
 
 
@@ -251,7 +251,7 @@ def _require_within_budget(what: str, budget: int, count: Callable[[Callable], i
     cost = count(power)
     if cost > budget:
         exact = cost if cost.bit_length() <= cap else None
-        raise BudgetExceeded(f"{what} would enumerate {_quantity(exact, (cost - 1).bit_length() - 1)} items (budget {_budget(budget)})")
+        raise BudgetExceeded(f"{what} would enumerate {_quantity(exact, (cost - 1).bit_length() - 1)} items (budget {_size(budget)})")
 
 
 def check_covering_budget(domain: FiniteSet, codomain: FiniteSet, budget: int) -> None:
@@ -280,7 +280,7 @@ def check_law_budget(law_id: str, a: int, b: int, c: int, budget: int) -> None:
         raise ValueError(f"unknown law id {law_id!r}; expected one of {LAW_IDS}")
     _require_cardinals(a=a, b=b, c=c)
     cost = functools.partial(_enumeration_cost, law_id, a, b, c)
-    _require_within_budget(f"{law_id} with a={a} b={b} c={c}", budget, cost)
+    _require_within_budget(f"{law_id} with a={_size(a)} b={_size(b)} c={_size(c)}", budget, cost)
 
 
 def _glued(heads: list, tails: list) -> Iterator:

@@ -356,6 +356,28 @@ def test_a_budget_past_20_digits_is_named_by_its_bit_length(refuse):
         refuse(10**20 - 1)
 
 
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda: cardinal_pow(10**5000, 2),
+        lambda: cardinal_pow(2, 10**5000),
+        lambda: verify_exponent_law("ADD_EXP", 10**5000, 1, 1),
+        lambda: verify_exponent_law("CURRY", 2, 1, 10**5000),
+    ],
+    ids=["pow base", "pow exponent", "ADD_EXP a", "CURRY c"],
+)
+def test_a_cardinal_past_20_digits_is_named_by_its_bit_length(refuse):
+    # The refusal names 10^5000 without writing its decimal digits, more than str() may write by default;
+    # each count is a power of it, past any count the refusal writes in decimal.
+    with pytest.raises(BudgetExceeded) as refused:
+        refuse()
+    message = str(refused.value)
+    assert f"at least 2^{(10**5000).bit_length() - 1} " in message
+    assert len(message) < 300
+    with pytest.raises(BudgetExceeded, match=r"^coverings of 2 labels with 99999999999999999999 labels "):
+        cardinal_pow(10**20 - 1, 2)
+
+
 def test_law_witness_detects_bad_pairs():
     witness = verify_exponent_law("ADD_EXP", 2, 1, 1)
     broken = dataclasses.replace(witness, images=witness.images[:-1] + witness.images[:1])
@@ -579,3 +601,32 @@ def test_law_witness_left_side_is_the_product_of_its_tables():
     # Six left elements with six distinct images: all four right words, and two that are none.
     six, strays = (tables[0] + (b"c",), tables[1]), (bytes([2, 0]), bytes([0, 2]))
     assert not LawWitness("ADD_EXP", 0, 0, 0, six, words + strays, (2, 2)).is_bijection()
+
+
+@pytest.mark.parametrize("law_id", ["ADD_EXP", "CURRY"])
+def test_in_order_images_reversed_are_still_a_bijection(law_id):
+    # Built in the right table's order, they are compared with it; reversed, their set is checked.
+    witness = verify_exponent_law(law_id, 2, 2, 2)
+    assert witness.images == finite_sets._covering_words(*witness.right)
+    assert dataclasses.replace(witness, images=witness.images[::-1]).is_bijection()
+
+
+def test_mul_exp_images_are_a_permutation_and_two_swapped_are_still_one():
+    witness = verify_exponent_law("MUL_EXP", 2, 2, 2)
+    right = finite_sets._covering_words(*witness.right)
+    assert witness.images != right and sorted(witness.images) == sorted(right)
+    assert dataclasses.replace(witness, images=witness.images[1::-1] + witness.images[2:]).is_bijection()
+
+
+@pytest.mark.parametrize(
+    "heads, tails",
+    [([b"\0", b"\0"], [b"\0", b"\1"]), ([b"\0", b"\1"], [b"\1", b"\1"]), ([b"\0", b"\0\0"], [b"\0", b""])],
+    ids=["repeated head", "repeated tail", "heads of two lengths"],
+)
+def test_law_witness_checks_that_the_right_words_are_distinct(monkeypatch, heads, tails):
+    # Four right words with a repeat among them: neither images equal to that table in its order (checked
+    # in order) nor the four natural images (checked as a set, which for a repeated head or tail holds them all).
+    witness = verify_exponent_law("ADD_EXP", 2, 1, 1)
+    monkeypatch.setattr(finite_sets, "_word_halves", lambda length, size: (heads, tails))
+    for images in (tuple(finite_sets._glued(heads, tails)), witness.images):
+        assert not dataclasses.replace(witness, images=images).is_bijection()
