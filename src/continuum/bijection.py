@@ -40,7 +40,7 @@ from .binary_streams import (
     expansions_of,
     value,
 )
-from .errors import BudgetExceeded, DomainViolation, _excerpt, _quantity, _size
+from .errors import BudgetExceeded, DomainViolation, _excerpt, _size
 from .finite_sets import DEFAULT_BUDGET, cardinal_pow
 
 _IN_BS, _IN_BX = StreamClass.IN_BS, StreamClass.IN_BX
@@ -289,7 +289,7 @@ def _check_budget(mu_max: int, budget: int) -> None:
     # past the budget's bit length is refused with that bound, uncounted.
     size = count_canonical(mu_max) if mu_max <= budget.bit_length() else None
     if size is None or size > budget:
-        raise BudgetExceeded(f"trace up to size {mu_max} would check {_quantity(size, mu_max - 1)} streams (budget {_size(budget)})")
+        raise BudgetExceeded(f"trace up to size {_size(mu_max)} would check {_size(size, mu_max - 1)} streams (budget {_size(budget)})")
 
 
 def derivation_trace(mu_max: int, budget: int = DEFAULT_BUDGET) -> DerivationTrace:

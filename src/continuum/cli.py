@@ -77,8 +77,7 @@ def _cmd_expand(args) -> str:
     point = dyadic.parse_rational(args.rational)
     bound = binary_streams.period_bound(point)
     if bound > args.budget:
-        found = f"= {bound}" if bound.bit_length() <= 64 else f">= 2^{bound.bit_length() - 1}"
-        raise BudgetExceeded(f"expand would search a period of up to b' - 1 {found} bits (budget {_size(args.budget)})")
+        raise BudgetExceeded(f"expand would search a period of up to b' - 1 = {_size(bound)} bits (budget {_size(args.budget)})")
     expansions = binary_streams.expansions_of(point)
     return "\n".join(str(e) for e in expansions)
 
@@ -97,7 +96,7 @@ def _cmd_stream(args) -> str:
     if args.what == "value":
         # A canonical w(p) has exactly 2^|w| in its reduced denominator, so a long w is refused
         # before the value is built; 2^(3 * limit) < 10^limit, so short w skip computing 10^limit.
-        canonical, limit = binary_streams.canonicalize(stream), finite_sets._digit_limit()
+        canonical, limit = binary_streams.canonicalize(stream), getattr(sys, "get_int_max_str_digits", lambda: 0)()
         power = len(canonical.preamble)
         if limit and power > 3 * limit and power >= (10**limit).bit_length():
             found = f"denominator divisible by 2^{power}"

@@ -18,7 +18,6 @@ from fractions import Fraction
 from .errors import OutOfRange, ParseError, _excerpt
 
 _RATIONAL_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
-_DECIMAL_BITS = 13288  # 10^4000 < 2^13288: a part of up to 4000 digits is quoted in decimal
 
 
 @dataclass(frozen=True)
@@ -101,15 +100,9 @@ def ensure_unit_interval(q: Fraction | int) -> Fraction:
             raise TypeError(f"expected a Fraction or an int, got {type(q).__name__}")
         q = Fraction(q)
     if not 0 <= q.numerator <= q.denominator:
-        bits = q.numerator.bit_length(), q.denominator.bit_length()
-        if max(bits) <= _DECIMAL_BITS:
-            try:
-                text = str(q)
-            except ValueError:  # more digits than a lowered limit lets str() write
-                pass
-            else:
-                raise OutOfRange(f"{_excerpt(text)} is not in [0, 1]")
-        # Writing a longer part in decimal is refused or takes quadratic time.
+        if max(abs(q.numerator), q.denominator) < 10**20:
+            raise OutOfRange(f"{_excerpt(str(q))} is not in [0, 1]")
+        bits = q.numerator.bit_length(), q.denominator.bit_length()  # a longer part is never written in decimal
         raise OutOfRange("a %d-bit numerator over a %d-bit denominator is not in [0, 1]" % bits)
     return q
 

@@ -1,7 +1,9 @@
 """Domain errors shared across the package.
 
 Every error subclasses :class:`DomainError`, which the CLI catches: it
-prints ``<ClassName>: <message>`` on one line and exits with code 2.
+prints ``<ClassName>: <message>`` on one line and exits with code 2. A
+message quotes at most 20 characters of an input and names every number by
+:func:`_size`, so it stays short whatever the interpreter's limit on int to str.
 """
 
 from __future__ import annotations
@@ -18,18 +20,14 @@ def _excerpt(text: str, show: Callable[[str], str] = str) -> str:
     return f"{show(text[:_EXCERPT])}... ({len(text)} characters)"
 
 
-def _quantity(count: int | None, exponent: int) -> str:
-    """``count`` in decimal if given and str() may write it, else ``more than 2^exponent``."""
-    if count is not None:
-        try:
-            return str(count)
-        except ValueError:  # more decimal digits than str() may write
-            pass
-    return f"more than 2^{exponent}"
-
-
-def _size(size: int) -> str:
-    """``size`` in decimal up to 20 digits, else ``at least 2^k`` with k its bit length less one."""
+def _size(size: int | None, exponent: int = 0) -> str:
+    """A number as a diagnostic names it: decimal below 10^20, else ``at least 2^k``, k its bit length less one;
+    a negative one by its sign and the name of its absolute value, and ``None``, a count never computed, as
+    ``more than 2^`` and the name of ``exponent``."""
+    if size is None or size < 0:
+        name = _size(exponent if size is None else -size)
+        name = name if name.isdigit() else f"({name})"
+        return f"more than 2^{name}" if size is None else f"-{name}"
     return str(size) if size < 10**_EXCERPT else f"at least 2^{size.bit_length() - 1}"
 
 

@@ -26,11 +26,10 @@ import functools
 import itertools
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .errors import BudgetExceeded, DisjointnessViolation, _quantity, _size
+from .errors import BudgetExceeded, DisjointnessViolation, _size
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -190,7 +189,7 @@ def covering_set(domain: FiniteSet, codomain: FiniteSet) -> CoveringSet:
 def _require_cardinals(**values: int) -> None:
     for name, value in values.items():
         if value < 0:
-            raise ValueError(f"{name} must be a nonnegative integer, got {value}")
+            raise ValueError(f"{name} must be a nonnegative integer, got {_size(value)}")
 
 
 def _witness_set(size: int, prefix: str = "") -> FiniteSet:
@@ -225,24 +224,16 @@ def cardinal_pow(a: int, b: int) -> int:
     return len(covering_set(_witness_set(b), _witness_set(a)))
 
 
-def _digit_limit() -> int:
-    """str()'s limit on the decimal digits of an int: 0 when off or, before Python 3.10.7, absent."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
 def _require_within_budget(what: str, budget: int, count: Callable[[Callable], int]) -> None:
     """Raise :class:`BudgetExceeded` when ``count(power)`` items pass ``budget``.
 
     ``count`` adds and multiplies ``power(base, exponent)`` results. Each
-    is exact below a cap of 2^L that passes the budget and has more
-    decimal digits than str() may write (4300, the default, when there is
-    no limit: 0 or Python before 3.10.7). It is 2^L once a lower bound of
-    the power reaches the cap, so a huge power is never built. A refusal
-    names the count in decimal when it is below the cap and str() may
-    write it, else as the lower bound ``more than 2^k``.
+    is exact below a cap of 2^L past both the budget and 10^20, and is 2^L
+    once a lower bound of the power reaches the cap, so a huge power is
+    never built. A refusal names the count by :func:`errors._size`: an
+    exact count below 10^20 in decimal, any other as a true lower bound.
     """
-    digits = _digit_limit() or 4300
-    cap = max(budget.bit_length(), 4 * digits) + 1
+    cap = max(budget, 10**20).bit_length()
 
     def power(base: int, exponent: int) -> int:
         # 2^(exponent * (bit length of base - 1)) is at most base ** exponent.
@@ -250,8 +241,7 @@ def _require_within_budget(what: str, budget: int, count: Callable[[Callable], i
 
     cost = count(power)
     if cost > budget:
-        exact = cost if cost.bit_length() <= cap else None
-        raise BudgetExceeded(f"{what} would enumerate {_quantity(exact, (cost - 1).bit_length() - 1)} items (budget {_size(budget)})")
+        raise BudgetExceeded(f"{what} would enumerate {_size(cost)} items (budget {_size(budget)})")
 
 
 def check_covering_budget(domain: FiniteSet, codomain: FiniteSet, budget: int) -> None:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from continuum import bijection, binary_streams, cli, errors, finite_sets
+from continuum import bijection, binary_streams, cli, dyadic, errors, finite_sets
 from continuum.cli import build_parser, main, run
 
 EQ3_WORDS = "000\n001\n010\n011\n100\n101\n110\n111"
@@ -233,16 +234,17 @@ def test_every_domain_error_exits_2_with_one_line(monkeypatch):
 )
 def test_counts_past_the_int_to_str_limit_refused_as_lower_bounds(argv, log2_count):
     # Each count has more decimal digits than str() may write, and the
-    # second would take minutes to compute.
+    # second would take minutes to compute: each is named as at least 2^k,
+    # k at least 66 (a count past 10^20) and 2^k under the count.
     start = time.perf_counter()
     result = run(argv)
     assert time.perf_counter() - start < 1.0
     assert result.exit_code == 2
     assert result.output == ""
     found = re.fullmatch(
-        r"BudgetExceeded: .* would enumerate more than 2\^(\d+) items \(budget 1000000\)", result.diagnostics
+        r"BudgetExceeded: .* would enumerate at least 2\^(\d+) items \(budget 1000000\)", result.diagnostics
     )
-    assert found and 20 <= int(found.group(1)) < log2_count
+    assert found and 66 <= int(found.group(1)) < log2_count
 
 
 def test_a_budget_past_20_digits_is_named_by_its_bit_length():
@@ -253,6 +255,61 @@ def test_a_budget_past_20_digits_is_named_by_its_bit_length():
     assert len(result.diagnostics) < 300
     refused = run(["coverings", "--exp", _binary_labels(70), "--base", "0,1", "--budget", "9" * 20])
     assert refused.diagnostics.endswith(f"items (budget {'9' * 20})")
+
+
+LABELS = tuple(f"n{i}" for i in range(20000))
+HUGE = 10**5000  # 5001 digits, more than str() writes at the default limit
+
+
+def _refusals(law, a, b, c, budget, mu, p, q, domain, codomain):
+    """Each refusal these sizes reach, as a call; none is made that would do the work instead."""
+    yield lambda: finite_sets.check_law_budget(law, a, b, c, budget)
+    yield lambda: finite_sets.check_covering_budget(finite_sets.FiniteSet(LABELS[:domain]), finite_sets.FiniteSet(LABELS[:codomain]), budget)
+    yield lambda: bijection._check_budget(mu, budget)
+    if a + b > finite_sets.DEFAULT_BUDGET:  # the a + b witness labels alone pass it
+        yield lambda: finite_sets.cardinal_pow(a, b)
+    for negative in (finite_sets.cardinal_pow, finite_sets.cardinal_add, finite_sets.cardinal_mul):
+        yield lambda negative=negative: negative(-a - 1, b)
+    yield lambda: finite_sets.check_law_budget(law, a, -b - 1, c, budget)
+    yield lambda: finite_sets.verify_exponent_law(law, a, b, -c - 1)
+    yield lambda: dyadic.ensure_unit_interval(Fraction(p, q))
+    point = Fraction(abs(p), q)
+    if point > 1 or binary_streams.period_bound(point) > budget:  # else expand would search the period
+        with _int_digit_limit(0):
+            rational = f"{abs(p)}/{q}"
+        yield lambda: cli._cmd_expand(argparse.Namespace(rational=rational, budget=budget))
+
+
+@pytest.mark.parametrize("digits", [4300, 0], ids=["default limit", "limit off"])
+@settings(deadline=None)
+@given(
+    st.tuples(
+        st.sampled_from(finite_sets.LAW_IDS),
+        *[st.integers(0, HUGE)] * 3,
+        st.integers(1, HUGE),
+        st.integers(1, HUGE),
+        st.integers(-HUGE, HUGE),
+        st.integers(1, HUGE),
+        st.integers(0, len(LABELS)),
+        st.integers(0, 300),
+    )
+)
+def test_every_refusal_names_its_numbers_in_one_short_line(digits, sizes):
+    # Whatever the limit on int to str, each refusal is the library's own error in one line under
+    # 300 characters, and names no number by more than 20 digits.
+    with _int_digit_limit(digits):
+        for refuse in _refusals(*sizes):
+            try:
+                refuse()
+            except errors.DomainError as err:
+                message = str(err)
+            except ValueError as err:  # a negative cardinal: the library's ValueError, not str()'s
+                message = str(err)
+                assert re.fullmatch(r"[abc] must be a nonnegative integer, got -([0-9]+|\(at least 2\^[0-9]+\))", message), message
+            else:
+                continue
+            assert "\n" not in message and len(message) < 300, message
+            assert re.search("[0-9]{21}", message) is None, message
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +344,15 @@ def test_expand_checks_the_range_before_the_cost(budget):
 
 
 def test_expand_clips_a_long_rational_in_its_out_of_range_line():
+    # A part past 10^20 is named by bit lengths; parts below it are quoted, at most 20 characters.
     numerator = "9" * 4000
     result = run(["expand", f"{numerator}/1"])
     assert result.exit_code == 2
-    assert result.diagnostics == f"OutOfRange: {numerator[:20]}... (4000 characters) is not in [0, 1]"
+    assert result.diagnostics == "OutOfRange: a 13288-bit numerator over a 1-bit denominator is not in [0, 1]"
+    assert run(["expand", "9" * 21 + "/1"]).diagnostics == (
+        "OutOfRange: a 70-bit numerator over a 1-bit denominator is not in [0, 1]"
+    )
+    assert run(["expand", "9" * 20 + "/7"]).diagnostics == f"OutOfRange: {'9' * 20}... (22 characters) is not in [0, 1]"
     assert run(["expand", "5/4"]).diagnostics == "OutOfRange: 5/4 is not in [0, 1]"
 
 
@@ -315,7 +377,7 @@ def test_expand_over_default_budget_refused_before_the_order_search(monkeypatch)
         )
     huge = run(["expand", f"1/{3**200}"])
     assert huge.diagnostics == (
-        "BudgetExceeded: expand would search a period of up to b' - 1 >= 2^316 bits (budget 1000000)"
+        "BudgetExceeded: expand would search a period of up to b' - 1 = at least 2^316 bits (budget 1000000)"
     )
 
 
@@ -497,21 +559,25 @@ def test_trace_over_default_budget_refused_before_enumerating():
     assert result.diagnostics.startswith("BudgetExceeded: ")
     assert len(result.diagnostics.splitlines()) == 1
     # Past the budget's bit length, |B| is named by its bound 2^(μ-1),
-    # uncounted and at once, however many digits the bound has.
-    for mu_max in (100, 10**12, 10**4299):
+    # uncounted and at once; μ past 10^20 is named by its bit length.
+    for mu_max, mu_name, exponent in [
+        (100, "100", "99"),
+        (10**12, "1000000000000", "999999999999"),
+        (10**4299, "at least 2^14280", "(at least 2^14280)"),
+    ]:
         start = time.perf_counter()
         refused = run(["trace", "--mu-max", str(mu_max)])
         assert time.perf_counter() - start < 1.0
         assert refused.exit_code == 2
         assert refused.diagnostics == (
-            f"BudgetExceeded: trace up to size {mu_max} would check more than 2^{mu_max - 1} streams (budget 1000000)"
+            f"BudgetExceeded: trace up to size {mu_name} would check more than 2^{exponent} streams (budget 1000000)"
         )
 
 
 def _trace_refused_at_once(monkeypatch, mu_max, digits):
     # The budget has ``digits`` nines, so |B| is counted, and it has more
-    # digits than that: named as a lower bound, or exactly when str() may
-    # write it. The budget is named by its bit length. The count itself is
+    # digits than that: past 10^20, so named as at least 2^k, 2^k at most |B|.
+    # The budget is named by its bit length. The count itself is
     # made beforehand, so what is timed is the refusal: one count and
     # nothing past the budget check.
     budget = "9" * digits
@@ -527,15 +593,11 @@ def _trace_refused_at_once(monkeypatch, mu_max, digits):
     assert result.exit_code == 2
     assert result.output == ""
     found = re.fullmatch(
-        rf"BudgetExceeded: trace up to size {mu_max} would check ([0-9]+|more than 2\^([0-9]+)) streams \(budget at least 2\^{budget_log2}\)",
+        rf"BudgetExceeded: trace up to size {mu_max} would check at least 2\^([0-9]+) streams \(budget at least 2\^{budget_log2}\)",
         result.diagnostics,
     )
     assert found
-    if found.group(2) is None:
-        assert int(found.group(1)) == size
-    else:
-        assert int(found.group(2)) == mu_max - 1
-    return found
+    assert int(found.group(1)) == size.bit_length() - 1 >= mu_max - 1
 
 
 def test_trace_names_a_count_past_the_int_to_str_limit(monkeypatch):
@@ -544,7 +606,7 @@ def test_trace_names_a_count_past_the_int_to_str_limit(monkeypatch):
 
 def test_trace_names_a_count_past_a_lowered_int_to_str_limit(monkeypatch):
     with _int_digit_limit(640):
-        assert _trace_refused_at_once(monkeypatch, 2126, 640).group(2)
+        _trace_refused_at_once(monkeypatch, 2126, 640)
 
 
 def test_trace_default_budget_admits_16_and_refuses_18():

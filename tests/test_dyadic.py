@@ -142,8 +142,8 @@ def test_ensure_unit_interval_agrees_with_fraction_order(q):
 
 
 def test_ensure_unit_interval_under_a_lowered_digit_limit_names_bit_lengths():
-    # 10^1000 has 3322 bits, under the 13 288 quoted in decimal, but 1001
-    # digits: more than str() writes at a limit of 640.
+    # 10^1000 has 1001 digits, more than str() writes at a limit of 640, and
+    # is past 10^20, so it is named by its bit length whatever the limit.
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this interpreter has no limit on int to str")
     previous = sys.get_int_max_str_digits()

@@ -200,7 +200,7 @@ def test_cardinal_pow_refuses_before_it_enumerates():
 
 @pytest.mark.parametrize(
     "a, b, count",
-    [(2, 10**6, "more than 2^"), (2, 10**7, "more than 2^"), (1, 2 * 10**6, "2000002"), (0, 2 * 10**6, "2000000"), (10**6, 1, "2000001")],
+    [(2, 10**6, "at least 2^"), (2, 10**7, "at least 2^"), (1, 2 * 10**6, "2000002"), (0, 2 * 10**6, "2000000"), (10**6, 1, "2000001")],
 )
 def test_cardinal_pow_refuses_on_the_sizes_alone(a, b, count):
     # No witness label is built: a in {0, 1} has a budget too, counting the a + b labels.
@@ -228,8 +228,11 @@ def test_cardinal_ops_reject_negatives():
     for op in (cardinal_add, cardinal_mul, cardinal_pow):
         with pytest.raises(ValueError):
             op(-1, 2)
-    with pytest.raises(ValueError, match="a must be a nonnegative integer, got -1"):
+    with pytest.raises(ValueError, match="a must be a nonnegative integer, got -1$"):
         verify_exponent_law("ADD_EXP", -1, 1, 1)
+    # Past 10^20 a negative cardinal is its sign and the name of its absolute value.
+    with pytest.raises(ValueError, match=r"^b must be a nonnegative integer, got -\(at least 2\^16609\)$"):
+        verify_exponent_law("ADD_EXP", 1, -(10**5000), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -297,44 +300,45 @@ def _exact_cost(law_id, a, b, c):
 
 
 def _refused_count(check, exact, budget):
-    # Runs one budget check; a refusal names the exact count or a true lower bound.
+    # Runs one budget check; a refusal names a count below 10^20 exactly, any other by a true lower bound.
     try:
         check()
     except BudgetExceeded as err:
         assert exact > budget
         found = re.fullmatch(r".* would enumerate (.+) items \(budget \d+\)", str(err)).group(1)
-        if found.startswith("more than 2^"):
-            assert 2 ** int(found.removeprefix("more than 2^")) < exact
+        if found.startswith("at least 2^"):
+            assert exact >= 10**20
+            assert 2 ** int(found.removeprefix("at least 2^")) <= exact
             return "bound"
-        assert int(found) == exact
+        assert int(found) == exact < 10**20
         return "exact"
     assert exact <= budget
     return "admitted"
 
 
-def test_budget_guard_is_exact_within_the_budget_and_a_lower_bound_past_it(monkeypatch):
-    # With a limit of one digit on int to str, powers are bounded just past
-    # the budget, so small arguments already reach the bound.
-    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 1, raising=False)
+def test_budget_guard_is_exact_within_the_budget_and_a_lower_bound_past_it():
+    # Powers are bounded past both the budget and 10^20, so exponents of 70
+    # and 200 reach the bound; every admitted law witness has at most 100 items.
     answers = set()
     for budget in (1, 10, 100):
-        for base, exponent in itertools.product(range(6), range(9)):
+        for base, exponent in itertools.product(range(6), [*range(9), 70, 200]):
             domain, codomain = FiniteSet(tuple(map(str, range(exponent)))), FiniteSet(tuple(map(str, range(base))))
             check = functools.partial(check_covering_budget, domain, codomain, budget)
             answers.add(_refused_count(check, base**exponent, budget))
-        for law_id, a, b, c in itertools.product(LAW_IDS, range(5), range(5), range(4)):
+        for law_id, a, b, c in itertools.product(LAW_IDS, range(5), range(5), [*range(4), 70]):
             check = functools.partial(verify_exponent_law, law_id, a, b, c, budget)
             answers.add(_refused_count(check, _exact_cost(law_id, a, b, c), budget))
     assert answers == {"admitted", "exact", "bound"}
 
 
-def test_budget_guard_with_the_limit_off_is_exact_below_2_to_17201(monkeypatch):
-    # str() may then write any count, and powers are bounded as at the default
-    # limit of 4300 digits, not just past the budget.
-    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
-    domain, codomain = FiniteSet(tuple(map(str, range(30)))), FiniteSet(("0", "1"))
-    check = functools.partial(check_covering_budget, domain, codomain, 1000)
-    assert _refused_count(check, 2**30, 1000) == "exact"
+def test_budget_guard_names_a_count_below_10_to_20_exactly_whatever_the_limit(monkeypatch):
+    # The guard reads no limit on int to str: 2^66 < 10^20 < 2^67.
+    for digits in (0, 1, 4300):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digits, raising=False)
+        for exponent, answer in [(30, "exact"), (66, "exact"), (67, "bound")]:
+            domain, codomain = FiniteSet(tuple(map(str, range(exponent)))), FiniteSet(("0", "1"))
+            check = functools.partial(check_covering_budget, domain, codomain, 1000)
+            assert _refused_count(check, 2**exponent, 1000) == answer
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -19,9 +20,37 @@ def test_a_failing_child_prints_its_error_and_exits_1(tmp_path, capsys):
     package.mkdir(parents=True)
     (package / "__init__.py").write_text('raise ImportError("broken on purpose")\n')
     out = tmp_path / "curve.json"
-    argv = ["--mu-min", "1", "--mu-max", "1", "--src", str(tmp_path / "src"), "--out", str(out)]
+    argv = ["--mu-min", "1", "--mu-max", "1", "--tree", f"broken={tmp_path / 'src'}", "--out", str(out)]
     with pytest.raises(SystemExit) as exit_info:
         load_tool().main(argv)
     assert exit_info.value.code == "mu=1: the child exited with status 1"
     assert "ImportError: broken on purpose" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_trees_take_turns_and_the_first_tree_changes_from_turn_to_turn(tmp_path, monkeypatch):
+    tool, calls = load_tool(), []
+
+    def measure(mu, src):
+        calls.append((mu, src.name))
+        return {"B": mu, "verdict": "pass", "seconds": float(len(calls)), "peak_rss_mb": 1.0}
+
+    monkeypatch.setattr(tool, "measure", measure)
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+    out = tmp_path / "curve.json"
+    argv = ["--mu-min", "1", "--mu-max", "2", "--tree", f"A={tmp_path / 'a'}", "--tree", f"B={tmp_path / 'b'}", "--out", str(out)]
+    assert tool.main(argv) == 0
+    assert [name for _, name in calls] == ["a", "b", "b", "a", "a", "b", "b", "a", "a", "b", "b", "a"]
+    assert [mu for mu, _ in calls] == [1] * 6 + [2] * 6
+    rows = json.loads(out.read_text())["curve"]
+    # The least time of each tree's three runs goes to its own column.
+    assert [(row["A"]["seconds"], row["B"]["seconds"]) for row in rows] == [(1.0, 2.0), (8.0, 7.0)]
+
+
+@pytest.mark.parametrize("trees", [["noequals"], ["=dir"], ["x="], ["x=a", "x=b"]])
+def test_a_tree_without_its_own_label_and_dir_is_a_usage_error(tmp_path, trees):
+    argv = [arg for text in trees for arg in ("--tree", text)] + ["--out", str(tmp_path / "curve.json")]
+    with pytest.raises(SystemExit) as exit_info:
+        load_tool().main(argv)
+    assert exit_info.value.code == 2

@@ -1,15 +1,16 @@
 """The derivation trace's cost as a curve over the bound μ.
 
 Runs ``derivation_trace(μ)`` for each μ in three fresh Python processes
-and records |B| (the canonical streams checked), and the least wall time
-of the call and the least peak RSS of the three. The source tree is
-compiled first, so that no child compiles it, whatever state its
-bytecode was in. Each run fills one column (``--label``)
-of the output file and keeps the others, so one file holds the numbers
-of two source trees measured on the same machine::
+per source tree and records |B| (the canonical streams checked), and the
+least wall time of the call and the least peak RSS of the three. Each
+``--tree LABEL=DIR`` names a column and the source tree it measures
+(default ``change=src``). Within each μ the trees take turns, and the
+tree that runs first changes from turn to turn, so a drift in the
+machine's speed falls on every tree alike. Each tree is compiled first,
+so that no child compiles it, whatever state its bytecode was in. A run
+fills its columns of the output file and keeps the others::
 
-    python3 tools/trace_curve.py --label parent --src /path/to/parent/src
-    python3 tools/trace_curve.py --label change
+    python3 tools/trace_curve.py --tree parent=/path/to/parent/src --tree change=src
 
 Exits 1 when a trace does not pass, or when |B| at some μ differs from
 the value already in the output file. A child that fails ends the run
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import compileall
+import itertools
 import json
 import os
 import platform
@@ -56,35 +58,51 @@ def measure(mu: int, src: Path) -> dict:
     return json.loads(done.stdout)
 
 
+def tree(text: str) -> tuple[str, Path]:
+    label, sep, src = text.partition("=")
+    if not (label and sep and src):
+        raise argparse.ArgumentTypeError(f"expected LABEL=DIR, got {text!r}")
+    return label, Path(src)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mu-min", type=int, default=8)
     parser.add_argument("--mu-max", type=int, default=16)
-    parser.add_argument("--label", default="change", help="column the numbers go to")
-    parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to import continuum from")
+    parser.add_argument("--tree", type=tree, action="append", metavar="LABEL=DIR",
+                        help="a column and the source tree to import continuum from; repeat to alternate trees")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_trace_curve.json")
     args = parser.parse_args(argv)
-    if not compileall.compile_dir(args.src, quiet=1):
-        print(f"{args.src}: does not compile", file=sys.stderr)
-        return 1
+    trees = args.tree or [("change", ROOT / "src")]
+    if len(dict(trees)) < len(trees):
+        parser.error("each --tree needs its own LABEL")
+    for _, src in trees:
+        if not compileall.compile_dir(src, quiet=1):
+            print(f"{src}: does not compile", file=sys.stderr)
+            return 1
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc["command"] = "python3 tools/trace_curve.py --mu-min 8 --mu-max 16 --label LABEL [--src DIR]"
+    doc["command"] = "python3 tools/trace_curve.py --mu-min 8 --mu-max 16 --tree LABEL=DIR [--tree LABEL=DIR ...]"
     doc["machine"] = f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}"
     rows = {row["mu"]: row for row in doc.get("curve", [])}
-    failed = False
+    failed, turns = False, itertools.count()
     for mu in range(args.mu_min, args.mu_max + 1):
-        runs = [measure(mu, args.src) for _ in range(RUNS)]
-        row = rows.setdefault(mu, {"mu": mu, "B": runs[0]["B"]})
-        for found in runs:
-            print(f"mu={mu} |B|={found['B']} {found['seconds']} s {found['peak_rss_mb']} MB {found['verdict']}")
-            if found["verdict"] != "pass" or found["B"] != row["B"]:
-                print(f"mu={mu}: verdict {found['verdict']}, |B| {found['B']} (recorded {row['B']})", file=sys.stderr)
-                failed = True
-        row[args.label] = {
-            "seconds": min(found["seconds"] for found in runs),
-            "peak_rss_mb": min(found["peak_rss_mb"] for found in runs),
-        }
+        runs = {label: [] for label, _ in trees}
+        for _ in range(RUNS):
+            first = next(turns) % len(trees)
+            for label, src in trees[first:] + trees[:first]:
+                runs[label].append(measure(mu, src))
+        row = rows.setdefault(mu, {"mu": mu, "B": runs[trees[0][0]][0]["B"]})
+        for label, found_runs in runs.items():
+            for found in found_runs:
+                print(f"mu={mu} {label} |B|={found['B']} {found['seconds']} s {found['peak_rss_mb']} MB {found['verdict']}")
+                if found["verdict"] != "pass" or found["B"] != row["B"]:
+                    print(f"mu={mu}: verdict {found['verdict']}, |B| {found['B']} (recorded {row['B']})", file=sys.stderr)
+                    failed = True
+            row[label] = {
+                "seconds": min(found["seconds"] for found in found_runs),
+                "peak_rss_mb": min(found["peak_rss_mb"] for found in found_runs),
+            }
     doc["curve"] = [rows[mu] for mu in sorted(rows)]
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 1 if failed else 0
