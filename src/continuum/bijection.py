@@ -14,21 +14,18 @@ whole stream universe. Both directions are computable in time linear
 in the stream size because membership in T (and the index) reads off
 the canonical form directly.
 
-:func:`derivation_trace` replays the set-algebra chain justifying the
-map as numbered steps. Statements that only involve streams are checked
-exhaustively over all canonical streams of bounded size, in one pass
-that keeps state only for the streams the map moves; statements
-about the genuinely uncountable or order-theoretic side (the full
-string space, the unit interval, the reals) are recorded symbolically
-and never claimed as checked. The checks are deterministic and
-order-independent, so replays are reproducible bit for bit.
+:func:`derivation_trace` replays the set-algebra chain justifying the map as numbered
+steps, frozen values. Statements that only involve streams are checked exhaustively over
+all canonical streams of bounded size, in one pass that keeps state only for the streams the
+map moves; statements about the genuinely uncountable or order-theoretic side (the full
+string space, the unit interval, the reals) are recorded symbolically and never claimed as
+checked. The checks are deterministic and order-independent, so replays are reproducible bit
+for bit. The trace imports ``json`` only when it writes JSON.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-
+from ._value import _Value
 from .binary_streams import (
     EPBS,
     StreamClass,
@@ -120,26 +117,20 @@ RESULT_FAIL = "fail"
 RESULT_NOT_CHECKABLE = "not-checkable"
 
 
-@dataclass(frozen=True)
-class DerivationStep:
-    step: int
-    statement: str
-    justification: str
-    bound: int | None
-    result: str
+class DerivationStep(_Value):
+    __slots__ = __match_args__ = ("step", "statement", "justification", "bound", "result")
 
 
-@dataclass(frozen=True)
-class DerivationTrace:
-    steps: tuple[DerivationStep, ...]
+class DerivationTrace(_Value):
+    __slots__ = __match_args__ = ("steps",)
 
     @property
     def verdict(self) -> str:
-        checkable = [s for s in self.steps if s.result != RESULT_NOT_CHECKABLE]
-        return RESULT_PASS if all(s.result == RESULT_PASS for s in checkable) else RESULT_FAIL
+        return RESULT_FAIL if any(s.result == RESULT_FAIL for s in self.steps) else RESULT_PASS
 
     def to_json(self) -> str:
-        return json.dumps([asdict(s) for s in self.steps], indent=2, sort_keys=True)
+        import json  # only ``trace --format json`` writes JSON, so the CLI starts without it
+        return json.dumps([dict(zip(s.__match_args__, s._fields())) for s in self.steps], indent=2, sort_keys=True)
 
 
 def _holds(predicate, *args) -> bool:
@@ -315,9 +306,6 @@ def derivation_trace(mu_max: int, budget: int = DEFAULT_BUDGET) -> DerivationTra
         failed.add(20)
     steps = []
     for number, statement, justification, bounded in _STEPS:
-        if justification == JUSTIFICATION_SYMBOLIC:
-            result = RESULT_NOT_CHECKABLE
-        else:
-            result = RESULT_FAIL if number in failed else RESULT_PASS
+        result = RESULT_NOT_CHECKABLE if justification == JUSTIFICATION_SYMBOLIC else RESULT_FAIL if number in failed else RESULT_PASS
         steps.append(DerivationStep(number, statement, justification, mu_max if bounded else None, result))
     return DerivationTrace(tuple(steps))

@@ -1,13 +1,13 @@
 """Eventually periodic binary streams, written ``preamble(period)``.
 
 Bits are the characters ``"0"`` and ``"1"`` everywhere, in the library
-as in the literal: ``parse_stream("011(0)") == EPBS("011", "0")``.
+as in the literal: ``parse_stream("011(0)") == EPBS("011", "0")``, a
+frozen value compared and hashed on its two parts.
 
-These are exactly the binary expansions of rationals, so they form the
-computable fragment of the space of all infinite 0/1 strings: values
-are exact, equality is decidable (via a canonical form), and the
-trailing-zeros / trailing-ones duplicate pair of each dyadic point can
-be constructed and recognized.
+These are exactly the binary expansions of rationals, so they form the computable fragment of
+the space of all infinite 0/1 strings: values are exact, equality is decidable (via a canonical
+form), and the trailing-zeros / trailing-ones duplicate pair of each dyadic point can be
+constructed and recognized.
 
 Valuation reads the stream as digits after the binary point:
 ``value = int(preamble) / 2^L + int(period) / (2^L * (2^P - 1))``
@@ -27,31 +27,39 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator
 
+from ._value import _set, _Value
 from .dyadic import ensure_unit_interval
 from .errors import ParseError
 
-_set = object.__setattr__  # how a frozen dataclass sets its own fields
 # ``text.translate(_NOT_BITS)`` is ``text`` without its bits, in one pass in C.
 _NOT_BITS = str.maketrans("", "", "01")
 
 
-@dataclass(frozen=True, slots=True)
-class EPBS:
-    """An eventually periodic bit stream: finite preamble, repeating block.
+class EPBS(_Value):
+    """An eventually periodic bit stream: finite preamble, repeating block, both strings of ``"0"`` and ``"1"``.
 
-    Both parts are strings of the characters ``"0"`` and ``"1"``.
-    ``_canonical`` is set on what :func:`canonicalize` and :func:`_built`
-    return, and takes no part in equality, hashing or the repr.
+    ``_canonical``, set on what :func:`canonicalize` and :func:`_built` return, takes no part in equality,
+    hashing, the repr or a copy. Equality and hashing are spelled out: a trace compares streams often.
     """
 
-    preamble: str
-    period: str
-    _canonical: bool = field(init=False, compare=False, repr=False)
+    __match_args__ = ("preamble", "period")
+    __slots__ = (*__match_args__, "_canonical")
+
+    def __init__(self, preamble: str, period: str):
+        _set(self, "preamble", preamble)
+        _set(self, "period", period)
+        _set(self, "_canonical", False)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        return self.preamble == other.preamble and self.period == other.period if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.preamble, self.period))
 
     def __post_init__(self):
         preamble, period = self.preamble, self.period
@@ -65,9 +73,6 @@ class EPBS:
             raise ValueError(f"bits must be '0' or '1', got {bad[0]!r}")
         if not period:
             raise ValueError("period must be nonempty")
-        # Set here rather than as a field default: Python 3.10.0 leaves a
-        # slots dataclass's ``init=False`` default unset.
-        _set(self, "_canonical", False)
 
     @property
     def size(self) -> int:

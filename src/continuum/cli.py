@@ -4,6 +4,8 @@ Subcommands: ``coverings``, ``laws``, ``expand``, ``classify``,
 ``stream``, ``map``, ``trace``. Output is deterministic and
 byte-identical across runs. Exit codes: 0 success, 1 usage error,
 2 domain error (one ``Name: message`` line on stderr, no traceback).
+Each command runs in a fresh interpreter, so importing this module loads neither
+``dataclasses``, ``typing`` nor ``json``; ``trace --format json`` imports ``json`` itself.
 
 Stream literals contain parentheses, so quote them in a shell:
 ``continuum map forward "1(0)"``.
@@ -14,18 +16,16 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from . import bijection, binary_streams, dyadic, finite_sets
+from ._value import _Value
 from .errors import BudgetExceeded, DomainError, _size
 
 
-@dataclass(frozen=True)
-class CommandResult:
-    exit_code: int
-    output: str = ""
-    diagnostics: str = ""
+class CommandResult(_Value):
+    __slots__ = __match_args__ = ("exit_code", "output", "diagnostics")
+    _defaults = {"output": "", "diagnostics": ""}
 
 
 class _UsageError(Exception):
@@ -78,8 +78,7 @@ def _cmd_expand(args) -> str:
     bound = binary_streams.period_bound(point)
     if bound > args.budget:
         raise BudgetExceeded(f"expand would search a period of up to b' - 1 = {_size(bound)} bits (budget {_size(args.budget)})")
-    expansions = binary_streams.expansions_of(point)
-    return "\n".join(str(e) for e in expansions)
+    return "\n".join(map(str, binary_streams.expansions_of(point)))
 
 
 def _cmd_classify(args) -> str:
@@ -117,18 +116,14 @@ def _cmd_stream(args) -> str:
 
 def _cmd_map(args) -> str:
     stream = binary_streams.parse_stream(args.literal)
-    mapped = bijection.forward(stream) if args.direction == "forward" else bijection.inverse(stream)
-    return str(mapped)
+    return str(bijection.forward(stream) if args.direction == "forward" else bijection.inverse(stream))
 
 
 def _cmd_trace(args) -> str:
     trace = bijection.derivation_trace(args.mu_max, args.budget)
     if args.format == "json":
         return trace.to_json()
-    lines = [
-        f"{step.step:>2}  {step.justification:<21} {step.result:<14} {step.statement}"
-        for step in trace.steps
-    ]
+    lines = [f"{step.step:>2}  {step.justification:<21} {step.result:<14} {step.statement}" for step in trace.steps]
     lines.append(f"verdict: {trace.verdict}")
     return "\n".join(lines)
 
@@ -215,13 +210,13 @@ def run(argv: list[str]) -> CommandResult:
         args, extra = subparser.parse_known_args(argv[1:]) if subparser else (None, None)
         if extra or subparser is None:
             args = parser.parse_args(argv)
-        return CommandResult(0, output=args.handler(args))
+        return CommandResult(0, args.handler(args), "")
     except _UsageError as err:
-        return CommandResult(1, diagnostics=str(err))
+        return CommandResult(1, "", str(err))
     except SystemExit as err:  # --help prints and exits 0
         return CommandResult(int(err.code or 0))
     except DomainError as err:
-        return CommandResult(2, diagnostics=f"{type(err).__name__}: {err}")
+        return CommandResult(2, "", f"{type(err).__name__}: {err}")
 
 
 def main() -> int:

@@ -6,29 +6,27 @@ points are enumerated level by level (u ascending, then numerator
 ascending: 1/2; 1/4, 3/4; 1/8, 3/8, ...), an order chosen because the
 position of a point has the closed form ``2^(u-1) - 1 + v``.
 
-Indices are 0-based everywhere.
+Indices are 0-based everywhere. Each classification is a frozen value.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import _Value
 from .errors import OutOfRange, ParseError, _excerpt
 
 _RATIONAL_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
-@dataclass(frozen=True)
-class Dyadic:
+class Dyadic(_Value):
     """Classification: a point (2v+1)/2^u of (0, 1), with exactly two binary expansions.
 
     ``numerator`` is the odd number 2v+1; ``exponent`` is u >= 1.
     """
 
-    numerator: int
-    exponent: int
+    __slots__ = __match_args__ = ("numerator", "exponent")
 
     def __post_init__(self):
         if self.exponent < 1:
@@ -48,20 +46,20 @@ class Dyadic:
         return (self.numerator - 1) // 2
 
 
-@dataclass(frozen=True)
-class Endpoint:
+class Endpoint(_Value):
     """Classification: 0 or 1, each with a unique expansion."""
 
-    value: int
+    __slots__ = __match_args__ = ("value",)
 
     def __post_init__(self):
         if self.value not in (0, 1):
             raise ValueError("endpoint must be 0 or 1")
 
 
-@dataclass(frozen=True)
-class OtherRational:
+class OtherRational(_Value):
     """Classification: a uniquely-represented interior rational."""
+
+    __slots__ = ()
 
 
 def _integer(match: re.Match, group: int) -> int:

@@ -8,7 +8,7 @@ message quotes at most 20 characters of an input and names every number by
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 _EXCERPT = 20  # characters of an input quoted in a diagnostic
 

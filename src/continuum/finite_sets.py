@@ -1,11 +1,10 @@
 """Finite set algebra and cardinal arithmetic by explicit enumeration.
 
-Sets are ordered collections of distinct string labels, so products,
-covering-sets and law witnesses enumerate in a reproducible order.
-Cardinal operations are computed the set-theoretic way: build witness
-sets, combine them, count the result. Nothing here shortcuts through
-integer arithmetic; the integer laws are what the enumeration is
-checked *against*.
+Sets, covering-sets and law witnesses are frozen values. Sets are ordered collections of
+distinct string labels, so products, covering-sets and law witnesses enumerate in a
+reproducible order. Cardinal operations are computed the set-theoretic way: build witness
+sets, combine them, count the result. Nothing here shortcuts through integer arithmetic;
+the integer laws are what the enumeration is checked *against*.
 
 A "covering of N with M" is a total function N -> M; the covering-set
 (N | M) is the set of all of them, and exponentiation of cardinals is
@@ -26,27 +25,26 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
+from ._value import _set, _Value
 from .errors import BudgetExceeded, DisjointnessViolation, _size
 
 DEFAULT_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class FiniteSet:
+class FiniteSet(_Value):
     """Ordered finite set of distinct labels (insertion order kept)."""
 
-    elements: tuple[str, ...] = ()
-    # The labels as a frozenset, kept from the duplicate check for membership tests.
-    members: frozenset[str] = field(init=False, compare=False, repr=False)
+    __match_args__ = ("elements",)
+    __slots__ = (*__match_args__, "members")  # members: the labels as a frozenset, kept from the duplicate check
+    _defaults = {"elements": ()}
 
     def __post_init__(self):
         members = frozenset(self.elements)
         if len(members) != len(self.elements):
             raise ValueError("duplicate labels in FiniteSet")
-        object.__setattr__(self, "members", members)
+        _set(self, "members", members)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -58,17 +56,14 @@ class FiniteSet:
         return label in self.members
 
 
-@dataclass(frozen=True)
-class CoveringSet:
+class CoveringSet(_Value):
     """All coverings of ``domain`` with ``codomain``, enumerated once each.
 
     A covering is its word: the codomain positions of its values as bytes,
     one byte each up to 256 codomain labels, else two or four, little-endian.
     """
 
-    domain: FiniteSet
-    codomain: FiniteSet
-    words: tuple[bytes, ...]
+    __slots__ = __match_args__ = ("domain", "codomain", "words")
 
     def __post_init__(self):
         expected = len(self.codomain) ** len(self.domain)
@@ -85,8 +80,7 @@ class CoveringSet:
         return _glued(*_label_halves(len(self.domain), self.codomain, sep, ""))
 
 
-@dataclass(frozen=True)
-class LawWitness:
+class LawWitness(_Value):
     """An explicit bijection witnessing one exponent law, on words.
 
     The left side is the product of the covering tables in ``left``, in
@@ -95,16 +89,10 @@ class LawWitness:
     with ``right[1]`` labels, is checked distinct on its head and tail tables;
     in-order images are compared with it word by word, permuted ones as a set.
     ``pairs``, ``left_set`` and ``right_set`` render labels of the witness sets
-    of sizes ``a``, ``b``, ``c`` on first read; nothing else builds a label.
+    of sizes ``a``, ``b``, ``c`` on first read, into ``__dict__``; nothing else builds a label.
     """
 
-    law_id: str
-    a: int
-    b: int
-    c: int
-    left: tuple[tuple[bytes, ...], ...]
-    images: tuple[bytes, ...]
-    right: tuple[int, int]
+    __match_args__ = ("law_id", "a", "b", "c", "left", "images", "right")  # no __slots__: cached_property needs __dict__
 
     @functools.cached_property
     def _right_halves(self) -> tuple[list[bytes], list[bytes]]:

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import re
@@ -27,6 +26,11 @@ from continuum.finite_sets import (
 )
 
 labels = st.lists(st.sampled_from("abcdexyz01"), max_size=8, unique=True)
+
+
+def with_images(witness: LawWitness, images: tuple[bytes, ...]) -> LawWitness:
+    """The witness rebuilt with other image words, as its constructor takes them."""
+    return LawWitness(witness.law_id, witness.a, witness.b, witness.c, witness.left, images, witness.right)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +148,7 @@ def test_covering_lookup_and_validation():
     cs = covering_set(FiniteSet(tuple("ab")), FiniteSet(tuple("01")))
     assert cs.words[1] == bytes([0, 1])
     assert list(cs.lines(","))[1] == "0,1"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign to field 'words'"):
         cs.words = cs.words[:1]
 
 
@@ -384,7 +388,7 @@ def test_a_cardinal_past_20_digits_is_named_by_its_bit_length(refuse):
 
 def test_law_witness_detects_bad_pairs():
     witness = verify_exponent_law("ADD_EXP", 2, 1, 1)
-    broken = dataclasses.replace(witness, images=witness.images[:-1] + witness.images[:1])
+    broken = with_images(witness, witness.images[:-1] + witness.images[:1])
     assert not broken.is_bijection()
     # Rendered, the last left label now takes the first one's image.
     assert broken.pairs == witness.pairs[:-1] + ((witness.pairs[-1][0], witness.pairs[0][1]),)
@@ -453,7 +457,7 @@ def test_witness_refuses_images_that_are_not_coverings(monkeypatch):
     # A position past the codomain, and a word of the wrong length: a word is
     # looked up whole among the right words, never read position by position.
     for image in (bytes([0, 3]), bytes([2])):
-        stray = dataclasses.replace(witness, images=(image,) + witness.images[1:])
+        stray = with_images(witness, (image,) + witness.images[1:])
         assert not stray.is_bijection()
         with pytest.raises(ValueError, match="not a covering of 2 labels with 3 labels") as refused:
             stray.pairs
@@ -554,7 +558,7 @@ def test_law_witness_verdict_is_per_instance():
     witness = verify_exponent_law("MUL_EXP", 2, 2, 2)
     assert witness.is_bijection()
     broken = witness.images[:-1] + witness.images[:1]
-    assert not dataclasses.replace(witness, images=broken).is_bijection()
+    assert not with_images(witness, broken).is_bijection()
     assert witness.is_bijection()
 
 
@@ -612,14 +616,14 @@ def test_in_order_images_reversed_are_still_a_bijection(law_id):
     # Built in the right table's order, they are compared with it; reversed, their set is checked.
     witness = verify_exponent_law(law_id, 2, 2, 2)
     assert witness.images == finite_sets._covering_words(*witness.right)
-    assert dataclasses.replace(witness, images=witness.images[::-1]).is_bijection()
+    assert with_images(witness, witness.images[::-1]).is_bijection()
 
 
 def test_mul_exp_images_are_a_permutation_and_two_swapped_are_still_one():
     witness = verify_exponent_law("MUL_EXP", 2, 2, 2)
     right = finite_sets._covering_words(*witness.right)
     assert witness.images != right and sorted(witness.images) == sorted(right)
-    assert dataclasses.replace(witness, images=witness.images[1::-1] + witness.images[2:]).is_bijection()
+    assert with_images(witness, witness.images[1::-1] + witness.images[2:]).is_bijection()
 
 
 @pytest.mark.parametrize(
@@ -633,4 +637,4 @@ def test_law_witness_checks_that_the_right_words_are_distinct(monkeypatch, heads
     witness = verify_exponent_law("ADD_EXP", 2, 1, 1)
     monkeypatch.setattr(finite_sets, "_word_halves", lambda length, size: (heads, tails))
     for images in (tuple(finite_sets._glued(heads, tails)), witness.images):
-        assert not dataclasses.replace(witness, images=images).is_bijection()
+        assert not with_images(witness, images).is_bijection()

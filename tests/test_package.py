@@ -29,3 +29,20 @@ def test_each_module_imports_on_its_own(module):
         [sys.executable, "-c", f"import continuum.{module}"], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_loads_no_dataclasses_inspect_json_or_typing():
+    # sys.modules is compared before and after the import, so a module that site preloads
+    # (some installs import typing at startup) cannot fail this.
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import continuum.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "continuum.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "json", "typing"}), sorted(loaded)
