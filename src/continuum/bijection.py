@@ -196,7 +196,7 @@ def _check_streams(mu_max: int) -> tuple[set[int], dict[str, int], dict[EPBS, EP
         inverse_fixed = image is e or image == e
         if not inverse_fixed:
             inverse_moves[e] = image
-            if 30 not in failed and classify(image) is not _IN_BX:
+            if classify(image) is not _IN_BX:
                 failed.add(30)
         if redundant:
             redundant_count += 1
@@ -206,7 +206,7 @@ def _check_streams(mu_max: int) -> tuple[set[int], dict[str, int], dict[EPBS, EP
             # 23: T lies inside B_X, so no redundant stream has an index in it.
             if position is not None:
                 failed.add(23)
-            if 26 not in failed and not _holds(_absorbs, e):
+            if not _holds(_absorbs, e):
                 failed.add(26)
             if inverse_fixed:  # outside B_X, and outside the domain of forward
                 failed.update(_ROUND_TRIP)
@@ -231,11 +231,11 @@ def _check_streams(mu_max: int) -> tuple[set[int], dict[str, int], dict[EPBS, EP
         t_by_parity[position % 2] += 1
         if nth_in_t(position) != e:
             failed.add(23)
-        if 27 not in failed and not _holds(lambda: shift(nth_in_t(2 * position + 1)) == e):
+        if not _holds(lambda: shift(nth_in_t(2 * position + 1)) == e):
             failed.add(27)
-    if 32 not in failed and not _holds(_all_return, forward_moves, inverse_moves, unshift):
+    if not _holds(_all_return, forward_moves, inverse_moves, unshift):
         failed.update(_LEFT_INVERSE)
-    if 29 not in failed and not _holds(_all_return, inverse_moves, forward_moves, shift):
+    if not _holds(_all_return, inverse_moves, forward_moves, shift):
         failed.update(_ROUND_TRIP)
     images = set(inverse_moves.values())
     clashes = {m for m in images if m.size <= mu_max} - inverse_moves.keys()

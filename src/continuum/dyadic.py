@@ -37,10 +37,6 @@ class Dyadic(_Value):
             raise ValueError("value must lie strictly between 0 and 1")
 
     @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.exponent)
-
-    @property
     def odd_index(self) -> int:
         """v in numerator = 2v + 1."""
         return (self.numerator - 1) // 2

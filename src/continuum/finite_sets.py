@@ -2,9 +2,10 @@
 
 Sets, covering-sets and law witnesses are frozen values. Sets are ordered collections of
 distinct string labels, so products, covering-sets and law witnesses enumerate in a
-reproducible order. Cardinal operations are computed the set-theoretic way: build witness
-sets, combine them, count the result. Nothing here shortcuts through integer arithmetic;
-the integer laws are what the enumeration is checked *against*.
+reproducible order. A disjoint union refuses sets that share a label, as Cantor's sum
+of cardinals presumes. Cardinal powers are computed the set-theoretic way: build witness
+sets, enumerate their covering-set, count it. Nothing here shortcuts through integer
+arithmetic; the integer laws are what the enumeration is checked *against*.
 
 A "covering of N with M" is a total function N -> M; the covering-set
 (N | M) is the set of all of them, and exponentiation of cardinals is
@@ -131,27 +132,15 @@ class LawWitness(_Value):
 
 
 def disjoint_union(left: FiniteSet, right: FiniteSet) -> FiniteSet:
-    """Union of sets that must not share labels.
+    """Union of sets that must not share labels: Cantor's sum of cardinals.
 
     Raises :class:`DisjointnessViolation` listing the common labels
-    otherwise; the caller that wants a total operation should use
-    :func:`tagged_union` instead.
+    otherwise; overlapping sets are never silently merged.
     """
     common = tuple(label for label in left if label in right)
     if common:
         raise DisjointnessViolation(common)
     return FiniteSet(left.elements + right.elements)
-
-
-def tagged_union(left: FiniteSet, right: FiniteSet) -> FiniteSet:
-    """Disjointified union: labels are tagged ``L.``/``R.`` by side.
-
-    Total on all inputs; the result always has ``len(left) + len(right)``
-    elements.
-    """
-    return FiniteSet(
-        tuple(f"L.{label}" for label in left) + tuple(f"R.{label}" for label in right)
-    )
 
 
 def pair_label(left: str, right: str) -> str:
@@ -171,7 +160,7 @@ def covering_set(domain: FiniteSet, codomain: FiniteSet) -> CoveringSet:
     single empty covering (so sizes follow ``|codomain| ** |domain|``
     with ``0 ** 0 == 1``).
     """
-    return CoveringSet(domain, codomain, tuple(_glued(*_word_halves(len(domain), len(codomain)))))
+    return CoveringSet(domain, codomain, _covering_words(len(domain), len(codomain)))
 
 
 def _require_cardinals(**values: int) -> None:
@@ -182,22 +171,6 @@ def _require_cardinals(**values: int) -> None:
 
 def _witness_set(size: int, prefix: str = "") -> FiniteSet:
     return FiniteSet(tuple(f"{prefix}e{i}" for i in range(size)))
-
-
-def cardinal_add(a: int, b: int) -> int:
-    """a + b as the size of a disjointified union of witness sets.
-
-    The witnesses deliberately reuse the same labels, so the sum is only
-    correct because it routes through :func:`tagged_union`.
-    """
-    _require_cardinals(a=a, b=b)
-    return len(tagged_union(_witness_set(a), _witness_set(b)))
-
-
-def cardinal_mul(a: int, b: int) -> int:
-    """a * b as the size of the enumerated pair set."""
-    _require_cardinals(a=a, b=b)
-    return len(product(_witness_set(a), _witness_set(b)))
 
 
 def cardinal_pow(a: int, b: int) -> int:
