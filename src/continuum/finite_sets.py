@@ -16,7 +16,7 @@ concatenation or table lookup, and the images must be exactly the words of
 the enumerated right side. Labels are rendered only when a witness's
 ``pairs``, ``left_set`` or ``right_set`` is read. Each covering's word or
 label is a head of its first half joined to a tail of the rest: a
-covering-set is its words, ``coverings`` prints lines glued the same way,
+covering-set is its domain and codomain, glued into words or lines when read,
 and :func:`cardinal_pow` refuses on the two sizes before it builds a label.
 """
 
@@ -62,16 +62,14 @@ class CoveringSet(_Value):
 
     A covering is its word: the codomain positions of its values as bytes,
     one byte each up to 256 codomain labels, else two or four, little-endian.
+    It holds only its two sets; ``words`` and ``len`` enumerate the words anew, ``lines`` the labels alone.
     """
 
-    __slots__ = __match_args__ = ("domain", "codomain", "words")
+    __slots__ = __match_args__ = ("domain", "codomain")
 
-    def __post_init__(self):
-        expected = len(self.codomain) ** len(self.domain)
-        if len(self.words) != expected:
-            raise ValueError(f"expected {expected} coverings, got {len(self.words)}")
-        if len(set(self.words)) != len(self.words):
-            raise ValueError("coverings are not pairwise distinct")
+    @property
+    def words(self) -> tuple[bytes, ...]:
+        return _covering_words(len(self.domain), len(self.codomain))
 
     def __len__(self) -> int:
         return len(self.words)
@@ -160,7 +158,7 @@ def covering_set(domain: FiniteSet, codomain: FiniteSet) -> CoveringSet:
     single empty covering (so sizes follow ``|codomain| ** |domain|``
     with ``0 ** 0 == 1``).
     """
-    return CoveringSet(domain, codomain, _covering_words(len(domain), len(codomain)))
+    return CoveringSet(domain, codomain)
 
 
 def _require_cardinals(**values: int) -> None:
@@ -180,8 +178,10 @@ def cardinal_pow(a: int, b: int) -> int:
     and the a + b witness labels, pass ``DEFAULT_BUDGET`` items."""
     _require_cardinals(a=a, b=b)
     # On the two sizes alone: the coverings, then they and the labels as check_law_budget counts them.
-    _require_within_budget(f"coverings of {_size(b)} labels with {_size(a)} labels", DEFAULT_BUDGET, lambda power: power(a, b))
-    _require_within_budget(f"cardinal_pow with a={_size(a)} b={_size(b)}", DEFAULT_BUDGET, lambda power: a + b + power(a, b))
+    _require_within_budget(f"coverings of {_size(b)} labels with {_size(a)} labels", DEFAULT_BUDGET,
+                           lambda power: power(a, b))
+    _require_within_budget(f"cardinal_pow with a={_size(a)} b={_size(b)}", DEFAULT_BUDGET,
+                           lambda power: a + b + power(a, b))
     return len(covering_set(_witness_set(b), _witness_set(a)))
 
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -84,6 +85,18 @@ def test_coverings_sixteen_labels_within_default_budget():
     result = run(["coverings", "--exp", _binary_labels(16), "--base", "0,1"])
     assert result.exit_code == 0
     assert result.output == "\n".join(format(i, "016b") for i in range(2**16))
+
+
+def test_coverings_builds_no_word_table(monkeypatch):
+    # coverings prints lines glued from label halves: no covering's word is built, and none is hashed.
+    def unreachable(*args, **kwargs):
+        pytest.fail("a word table was built")
+
+    for name in ("_covering_words", "_word_halves"):
+        monkeypatch.setattr(finite_sets, name, unreachable)
+    assert run(["coverings", "--exp", "a,b,c", "--base", "0,1"]) == cli.CommandResult(0, EQ3_WORDS, "")
+    result = run(["coverings", "--exp", _binary_labels(16), "--base", "0,1"])
+    assert result == cli.CommandResult(0, "\n".join(format(i, "016b") for i in range(2**16)), "")
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +468,39 @@ def test_stream_subcommands(what, literal, expected):
     result = run(["stream", what, literal])
     assert result.exit_code == 0
     assert result.output == expected
+
+
+def _benchmark_reference():
+    # perfbench's independent model of the query commands, loaded by path: it never imports continuum.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REFERENCE = _benchmark_reference()
+# Short literals, some malformed, and rationals over denominators up to 64, some past 1.
+short_literals = st.one_of(
+    st.builds("{}({})".format, st.text("01", max_size=6), st.text("01", min_size=1, max_size=6)),
+    st.text("01()", max_size=8),
+)
+short_rationals = st.one_of(
+    st.integers(1, 64).flatmap(lambda d: st.integers(0, 2 * d).map(lambda n: f"{n}/{d}")),
+    st.integers(0, 2).map(str),
+)
+queries = st.one_of(
+    st.tuples(st.sampled_from([("map", "forward"), ("map", "inverse")]), short_literals),
+    st.tuples(st.sampled_from([("stream", what) for what in ("value", "canon", "member", "dual")]), short_literals),
+    st.tuples(st.sampled_from([("expand",), ("classify",)]), short_rationals),
+).map(lambda query: [*query[0], query[1]])
+
+
+@settings(deadline=None, max_examples=300)
+@given(queries)
+def test_queries_agree_with_the_benchmark_reference(argv):
+    # Exit code, output and error name, as the benchmark checks every query it sends.
+    assert REFERENCE.expect_query(argv).mismatch(run(argv)) is None
 
 
 def seeded_bits(seed, count):

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from continuum import bijection, finite_sets
 from continuum.errors import BudgetExceeded, DisjointnessViolation
 from continuum.finite_sets import (
-    CoveringSet,
     FiniteSet,
     LAW_IDS,
     LawWitness,
@@ -148,14 +147,6 @@ def test_covering_lookup_and_validation():
     assert list(cs.lines(","))[1] == "0,1"
     with pytest.raises(AttributeError, match="cannot assign to field 'words'"):
         cs.words = cs.words[:1]
-
-
-def test_covering_set_refuses_a_missing_or_repeated_covering():
-    cs = covering_set(FiniteSet(tuple("ab")), FiniteSet(tuple("01")))
-    with pytest.raises(ValueError, match="expected 4 coverings, got 3"):
-        CoveringSet(cs.domain, cs.codomain, cs.words[:3])
-    with pytest.raises(ValueError, match="coverings are not pairwise distinct"):
-        CoveringSet(cs.domain, cs.codomain, cs.words[:3] + cs.words[:1])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ MODULE:
 * one operand of an ``and`` or ``or`` is dropped;
 * a conditional expression becomes one of its two arms.
 
-Each worker, one per CPU, has its own copy of ``src/``, ``tests/`` and
+Each worker, one per CPU, has its own copy of ``src/``, ``tests/``,
+``perfbench/`` without its ``out/`` (a test loads its reference model) and
 the files at the top of the tree (a test may read ``README.md``) in a
 temporary directory and writes its mutants there, so the tree it is run
 from is never written. A mutant is killed when
@@ -137,9 +138,10 @@ def _run(copy: str, tests: list[str], digit_limit: str | None, timeout: float) -
 
 def _copy_tree(root: str) -> str:
     copy = tempfile.mkdtemp(prefix="mutants-")
-    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for part in ("src", "tests"):
-        shutil.copytree(os.path.join(root, part), os.path.join(copy, part), ignore=ignore)
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "out")
+    for part in ("src", "tests", "perfbench"):
+        if os.path.isdir(os.path.join(root, part)):
+            shutil.copytree(os.path.join(root, part), os.path.join(copy, part), ignore=ignore)
     for entry in os.scandir(root):
         if entry.is_file():
             shutil.copy(entry.path, copy)
