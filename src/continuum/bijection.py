@@ -28,7 +28,8 @@ from __future__ import annotations
 from ._value import _Value
 from .binary_streams import (
     EPBS,
-    StreamClass,
+    _IN_BS,
+    _IN_BX,
     _built,
     canonicalize,
     classify_stream,
@@ -39,8 +40,6 @@ from .binary_streams import (
 )
 from .errors import BudgetExceeded, DomainViolation, _excerpt, _size
 from .finite_sets import DEFAULT_BUDGET, cardinal_pow
-
-_IN_BS, _IN_BX = StreamClass.IN_BS, StreamClass.IN_BX
 
 
 def _word(k: int) -> str:
@@ -201,7 +200,7 @@ def _check_streams(mu_max: int) -> tuple[set[int], dict[str, int], dict[EPBS, EP
         if redundant:
             redundant_count += 1
             # 21: a redundant stream is the second of its value's two expansions.
-            if len(expansions) != 2 or expansions[1] != e:
+            if not (len(expansions) == 2 and expansions[1] == e):
                 failed.add(21)
             # 23: T lies inside B_X, so no redundant stream has an index in it.
             if position is not None:
@@ -212,7 +211,7 @@ def _check_streams(mu_max: int) -> tuple[set[int], dict[str, int], dict[EPBS, EP
                 failed.update(_ROUND_TRIP)
             continue
         # 21: any other stream is the first expansion of its value.
-        if not expansions or expansions[0] != e:
+        if not (expansions and expansions[0] == e):
             failed.add(21)
         mapped = shift(e)
         forward_fixed = mapped is e or mapped == e

@@ -31,7 +31,7 @@ from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
 
-from ._value import _set, _Value
+from ._value import _Value
 from .dyadic import ensure_unit_interval
 from .errors import ParseError
 
@@ -50,9 +50,9 @@ class EPBS(_Value):
     __slots__ = (*__match_args__, "_canonical")
 
     def __init__(self, preamble: str, period: str):
-        _set(self, "preamble", preamble)
-        _set(self, "period", period)
-        _set(self, "_canonical", False)
+        _set_preamble(self, preamble)
+        _set_period(self, period)
+        _set_canonical(self, False)
         self.__post_init__()
 
     def __eq__(self, other):
@@ -82,18 +82,23 @@ class EPBS(_Value):
         return f"{self.preamble}({self.period})"
 
 
-def _built(preamble: str, period: str) -> EPBS:
-    """A canonical stream from bits the library wrote, past EPBS's check."""
-    stream = object.__new__(EPBS)
-    _set(stream, "preamble", preamble)
-    _set(stream, "period", period)
-    _set(stream, "_canonical", True)
-    return stream
-
-
 class StreamClass(Enum):
     IN_BX = "InBX"
     IN_BS = "InBS"
+
+
+# Bound once: reading an Enum member takes ~100 ns on Python 3.11, and object.__setattr__ looks up each slot by name.
+_IN_BS, _IN_BX = StreamClass.IN_BS, StreamClass.IN_BX
+_set_preamble, _set_period, _set_canonical = EPBS.preamble.__set__, EPBS.period.__set__, EPBS._canonical.__set__
+
+
+def _built(preamble: str, period: str) -> EPBS:
+    """A canonical stream from bits the library wrote, past EPBS's check."""
+    stream = object.__new__(EPBS)
+    _set_preamble(stream, preamble)
+    _set_period(stream, period)
+    _set_canonical(stream, True)
+    return stream
 
 
 def parse_stream(text: str) -> EPBS:
@@ -136,9 +141,7 @@ def _absorbable(preamble: str, period: str) -> int:
     """
     length = len(preamble)
     continued = (period * (length // len(period) + 1))[-length:]
-    difference = int(preamble, 2) ^ int(continued, 2)
-    if not difference:
-        return length
+    difference = (int(preamble, 2) ^ int(continued, 2)) | 1 << length  # no difference below it: all bits continue
     return (difference & -difference).bit_length() - 1
 
 
@@ -163,15 +166,16 @@ def canonicalize(stream: EPBS) -> EPBS:
         period = period[cut:] + period[:cut]
     if preamble != stream.preamble or period != stream.period:
         return _built(preamble, period)  # slices of bits already checked
-    _set(stream, "_canonical", True)
+    _set_canonical(stream, True)
     return stream
 
 
 def value(stream: EPBS) -> Fraction:
     """Exact value of the stream as digits after the binary point."""
-    cycle = (1 << len(stream.period)) - 1
-    numerator = int(stream.preamble or "0", 2) * cycle + int(stream.period, 2)
-    return Fraction(numerator, cycle << len(stream.preamble))
+    preamble, period = stream.preamble, stream.period
+    cycle = (1 << len(period)) - 1
+    numerator = int(preamble or "0", 2) * cycle + int(period, 2)
+    return Fraction(numerator, cycle << len(preamble))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -230,8 +234,7 @@ def expansions_of(q: Fraction) -> list[EPBS]:
     X mod (2^P - 1). A dyadic q has b' = 1 and the one-bit period ``(0)``;
     its second expansion is the :func:`dual_of` of the first.
     """
-    q = ensure_unit_interval(q)
-    numerator, denominator = q.numerator, q.denominator
+    numerator, denominator = ensure_unit_interval(q).as_integer_ratio()
     if numerator == denominator:
         return [_built("", "1")]
     pre_len = (denominator & -denominator).bit_length() - 1
@@ -254,8 +257,8 @@ def classify_stream(stream: EPBS) -> StreamClass:
     """
     canonical = canonicalize(stream)
     if canonical.period == "1" and canonical.preamble:
-        return StreamClass.IN_BS
-    return StreamClass.IN_BX
+        return _IN_BS
+    return _IN_BX
 
 
 def dual_of(stream: EPBS) -> EPBS | None:
@@ -281,10 +284,7 @@ def enumerate_streams(max_size: int) -> Iterator[EPBS]:
     """All raw streams with ``len(preamble) + len(period) <= max_size``."""
     for total in range(1, max_size + 1):
         for per_len in range(1, total + 1):
-            pre_len = total - per_len
-            for pre in _words(pre_len):
-                for per in _words(per_len):
-                    yield EPBS(pre, per)
+            yield from itertools.starmap(EPBS, itertools.product(_words(total - per_len), _words(per_len)))
 
 
 def enumerate_canonical(max_size: int) -> tuple[EPBS, ...]:

@@ -718,6 +718,22 @@ def test_enumerate_canonical_is_deterministic_and_unique():
     assert all(canonicalize(e) == e for e in first)
 
 
+def test_library_built_streams_behave_like_checked_ones():
+    # Built past EPBS's check, through the slot setters: each enumerated stream and its first expansion.
+    for stream in (s for e in enumerate_canonical(6) for s in (e, expansions_of(value(e))[0])):
+        checked = EPBS(stream.preamble, stream.period)
+        for name in ("preamble", "period", "_canonical"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(stream, name, "0")
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                delattr(stream, name)
+        assert (stream.preamble, stream.period, stream._canonical) == (checked.preamble, checked.period, True)
+        assert stream == checked and checked == stream and not checked._canonical
+        assert hash(stream) == hash(checked) and repr(stream) == repr(checked)
+        for other in (pickle.loads(pickle.dumps(stream)), copy.copy(stream), copy.deepcopy(stream)):
+            assert type(other) is EPBS and other == stream and other is not stream and not other._canonical
+
+
 def test_the_public_check_is_intact(monkeypatch):
     for preamble, period in (("0", "2"), ("", ""), (0, "1"), ("0", "1\u0663")):
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ def test_trees_take_turns_and_the_first_tree_changes_from_turn_to_turn(tmp_path,
 
     def measure(mu, src):
         calls.append((mu, src.name))
-        return {"B": mu, "verdict": "pass", "seconds": float(len(calls)), "peak_rss_mb": 1.0}
+        return {"B": mu, "verdict": "pass", "seconds": float(len(calls)), "cpu_seconds": 20.0 - len(calls), "peak_rss_mb": 1.0}
 
     monkeypatch.setattr(tool, "measure", measure)
     for name in ("a", "b"):
@@ -44,8 +44,9 @@ def test_trees_take_turns_and_the_first_tree_changes_from_turn_to_turn(tmp_path,
     assert [name for _, name in calls] == ["a", "b", "b", "a", "a", "b", "b", "a", "a", "b", "b", "a"]
     assert [mu for mu, _ in calls] == [1] * 6 + [2] * 6
     rows = json.loads(out.read_text())["curve"]
-    # The least time of each tree's three runs goes to its own column.
+    # The least wall and the least CPU time of each tree's three runs go to its own column, each on its own.
     assert [(row["A"]["seconds"], row["B"]["seconds"]) for row in rows] == [(1.0, 2.0), (8.0, 7.0)]
+    assert [(row["A"]["cpu_seconds"], row["B"]["cpu_seconds"]) for row in rows] == [(15.0, 14.0), (8.0, 9.0)]
 
 
 @pytest.mark.parametrize("trees", [["noequals"], ["=dir"], ["x="], ["x=a", "x=b"]])

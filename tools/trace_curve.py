@@ -1,14 +1,15 @@
 """The derivation trace's cost as a curve over the bound μ.
 
 Runs ``derivation_trace(μ)`` for each μ in three fresh Python processes
-per source tree and records |B| (the canonical streams checked), and the
-least wall time of the call and the least peak RSS of the three. Each
-``--tree LABEL=DIR`` names a column and the source tree it measures
-(default ``change=src``). Within each μ the trees take turns, and the
-tree that runs first changes from turn to turn, so a drift in the
-machine's speed falls on every tree alike. Each tree is compiled first,
-so that no child compiles it, whatever state its bytecode was in. A run
-fills its columns of the output file and keeps the others::
+per source tree and records |B| (the canonical streams checked) and, of
+the three, the least wall time and the least CPU time of the call and
+the least peak RSS. Each ``--tree LABEL=DIR`` names a column and the
+source tree it measures (default ``change=src``). Within each μ the
+trees take turns, and the tree that runs first changes from turn to
+turn, so a drift in the machine's speed falls on every tree alike. Each
+tree is compiled first, so that no child compiles it, whatever state its
+bytecode was in. A run fills its columns of the output file and keeps
+the others::
 
     python3 tools/trace_curve.py --tree parent=/path/to/parent/src --tree change=src
 
@@ -40,12 +41,12 @@ import json, resource, sys, time
 from continuum.bijection import derivation_trace
 from continuum.binary_streams import count_canonical
 mu = int(sys.argv[1])
-start = time.perf_counter()
+start, cpu_start = time.perf_counter(), time.process_time()
 verdict = derivation_trace(mu).verdict
-seconds = time.perf_counter() - start
+seconds, cpu_seconds = time.perf_counter() - start, time.process_time() - cpu_start
 peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"B": count_canonical(mu), "verdict": verdict,
-                  "seconds": round(seconds, 3), "peak_rss_mb": round(peak_rss_mb, 1)}))
+print(json.dumps({"B": count_canonical(mu), "verdict": verdict, "seconds": round(seconds, 3),
+                  "cpu_seconds": round(cpu_seconds, 3), "peak_rss_mb": round(peak_rss_mb, 1)}))
 """
 
 
@@ -95,14 +96,12 @@ def main(argv: list[str] | None = None) -> int:
         row = rows.setdefault(mu, {"mu": mu, "B": runs[trees[0][0]][0]["B"]})
         for label, found_runs in runs.items():
             for found in found_runs:
-                print(f"mu={mu} {label} |B|={found['B']} {found['seconds']} s {found['peak_rss_mb']} MB {found['verdict']}")
+                print(f"mu={mu} {label} |B|={found['B']} {found['seconds']} s {found['cpu_seconds']} s CPU "
+                      f"{found['peak_rss_mb']} MB {found['verdict']}")
                 if found["verdict"] != "pass" or found["B"] != row["B"]:
                     print(f"mu={mu}: verdict {found['verdict']}, |B| {found['B']} (recorded {row['B']})", file=sys.stderr)
                     failed = True
-            row[label] = {
-                "seconds": min(found["seconds"] for found in found_runs),
-                "peak_rss_mb": min(found["peak_rss_mb"] for found in found_runs),
-            }
+            row[label] = {key: min(found[key] for found in found_runs) for key in ("seconds", "cpu_seconds", "peak_rss_mb")}
     doc["curve"] = [rows[mu] for mu in sorted(rows)]
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 1 if failed else 0
