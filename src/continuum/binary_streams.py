@@ -32,7 +32,7 @@ from enum import Enum
 from fractions import Fraction
 
 from ._value import _Value
-from .dyadic import ensure_unit_interval
+from .dyadic import _unit_ratio
 from .errors import ParseError
 
 # ``text.translate(_NOT_BITS)`` is ``text`` without its bits, in one pass in C.
@@ -218,7 +218,7 @@ def period_bound(q: Fraction) -> int:
     bounds it before the order is searched; it is 0 for a dyadic q. A q
     outside [0, 1] is refused first, as :func:`expansions_of` refuses it.
     """
-    denominator = ensure_unit_interval(q).denominator
+    denominator = _unit_ratio(q)[1]
     return (denominator >> ((denominator & -denominator).bit_length() - 1)) - 1
 
 
@@ -234,7 +234,7 @@ def expansions_of(q: Fraction) -> list[EPBS]:
     X mod (2^P - 1). A dyadic q has b' = 1 and the one-bit period ``(0)``;
     its second expansion is the :func:`dual_of` of the first.
     """
-    numerator, denominator = ensure_unit_interval(q).as_integer_ratio()
+    numerator, denominator = _unit_ratio(q)
     if numerator == denominator:
         return [_built("", "1")]
     pre_len = (denominator & -denominator).bit_length() - 1

@@ -89,16 +89,21 @@ def ensure_unit_interval(q: Fraction | int) -> Fraction:
     A float is refused rather than converted: ``Fraction(0.1)`` is the
     binary float nearest 1/10, not 1/10.
     """
-    if not isinstance(q, Fraction):
-        if not isinstance(q, int):
-            raise TypeError(f"expected a Fraction or an int, got {type(q).__name__}")
-        q = Fraction(q)
-    if not 0 <= q.numerator <= q.denominator:
-        if max(abs(q.numerator), q.denominator) < 10**20:
-            raise OutOfRange(f"{_excerpt(str(q))} is not in [0, 1]")
-        bits = q.numerator.bit_length(), q.denominator.bit_length()  # a longer part is never written in decimal
+    _unit_ratio(q)
+    return q if isinstance(q, Fraction) else Fraction(q)
+
+
+def _unit_ratio(q: Fraction | int) -> tuple[int, int]:
+    # q's numerator and denominator, read once, refused as ensure_unit_interval refuses them.
+    if not isinstance(q, (Fraction, int)):
+        raise TypeError(f"expected a Fraction or an int, got {type(q).__name__}")
+    numerator, denominator = q.as_integer_ratio()
+    if not 0 <= numerator <= denominator:
+        if max(abs(numerator), denominator) < 10**20:
+            raise OutOfRange(f"{_excerpt(str(Fraction(numerator, denominator)))} is not in [0, 1]")
+        bits = numerator.bit_length(), denominator.bit_length()  # a longer part is never written in decimal
         raise OutOfRange("a %d-bit numerator over a %d-bit denominator is not in [0, 1]" % bits)
-    return q
+    return numerator, denominator
 
 
 def classify(q: Fraction) -> Dyadic | Endpoint | OtherRational:

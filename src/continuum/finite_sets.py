@@ -7,25 +7,27 @@ of cardinals presumes. Cardinal powers are computed the set-theoretic way: build
 sets, enumerate their covering-set, count it. Nothing here shortcuts through integer
 arithmetic; the integer laws are what the enumeration is checked *against*.
 
-A "covering of N with M" is a total function N -> M; the covering-set
-(N | M) is the set of all of them, and exponentiation of cardinals is
-defined as its size. The three exponent laws are verified by building the
-natural bijection between both sides element by element, on words of
-codomain positions: each image is glued from covering tables by
-concatenation or table lookup, and the images must be exactly the words of
-the enumerated right side. Labels are rendered only when a witness's
-``pairs``, ``left_set`` or ``right_set`` is read. Each covering's word or
-label is a head of its first half joined to a tail of the rest: a
-covering-set is its domain and codomain, glued into words or lines when read,
-and :func:`cardinal_pow` refuses on the two sizes before it builds a label.
+A "covering of N with M" is a total function N -> M; the covering-set (N | M) is the set
+of all of them, and exponentiation of cardinals is defined as its size. The three
+exponent laws are verified by building the natural bijection between both sides element
+by element, on words of codomain positions: the images are one buffer of fixed-width
+words, glued from covering tables a row at a time by concatenation or table lookup, and
+must be the enumerated right side's words, compared with them row by row, or as a set
+when permuted. Labels are rendered only when a witness's ``pairs``, ``left_set`` or
+``right_set`` is read. Each covering's word or label is a head of its first half joined
+to a tail of the rest: a covering-set is its domain and codomain, glued into words or
+lines when read, and :func:`cardinal_pow` refuses on the two sizes before it builds a
+label.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import math
 import operator
+import struct
 from collections.abc import Callable, Iterable, Iterator
 
 from ._value import _set, _Value
@@ -83,10 +85,10 @@ class LawWitness(_Value):
     """An explicit bijection witnessing one exponent law, on words.
 
     The left side is the product of the covering tables in ``left``, in
-    itertools.product's order, and ``images`` holds each left element's image
-    word in that order. The right side, the coverings of ``right[0]`` positions
-    with ``right[1]`` labels, is checked distinct on its head and tail tables;
-    in-order images are compared with it word by word, permuted ones as a set.
+    itertools.product's order, and ``images`` is one ``bytes`` of each left element's
+    image word in that order, each as wide as a right word. The right side, the coverings of
+    ``right[0]`` positions with ``right[1]`` labels, is checked distinct on its head and tail
+    tables; in-order images are compared with it a row of words at a time, permuted ones as a set.
     ``pairs``, ``left_set`` and ``right_set`` render labels of the witness sets
     of sizes ``a``, ``b``, ``c`` on first read, into ``__dict__``; nothing else builds a label.
     """
@@ -97,6 +99,8 @@ class LawWitness(_Value):
     def _right_halves(self) -> tuple[list[bytes], list[bytes]]:
         return _word_halves(*self.right)
 
+    _width = property(lambda self: self.right[0] * _byte_width(self.right[1]))  # the bytes of one image word
+
     def sizes(self) -> tuple[int, int]:
         """|left| and |right|, counted on the covering tables: no label is rendered."""
         heads, tails = self._right_halves
@@ -104,13 +108,16 @@ class LawWitness(_Value):
 
     def is_bijection(self) -> bool:
         """One image per left element, both sides distinct, and the images are the right words, in order or as a set."""
-        (heads, tails), (left_size, right_size) = self._right_halves, self.sizes()
-        # Distinct factor words make distinct left elements; distinct heads of one length, each followed by distinct
-        # tails, make distinct right words. Equal counts first: the in-order comparison stops at the shorter side.
-        if not (len(self.images) == left_size == right_size and all(len(set(table)) == len(table) for table in self.left)
-                and len(set(map(len, heads))) <= 1 and len(set(heads)) == len(heads) and len(set(tails)) == len(tails)):
+        (heads, tails), (left_size, right_size), width = self._right_halves, self.sizes(), self._width
+        # Distinct factor words make distinct left elements; distinct heads of one length, each followed by
+        # distinct tails that fill a word, make distinct right words as wide as the images' words.
+        if not (len(self.images) == left_size * width and left_size == right_size
+                and all(len(set(table)) == len(table) for table in self.left)
+                and {i + j for i in set(map(len, heads)) for j in set(map(len, tails))} <= {width}
+                and len(set(heads)) == len(heads) and len(set(tails)) == len(tails)):
             return False
-        return all(map(operator.eq, self.images, _glued(heads, tails))) or set(self.images).issuperset(_glued(heads, tails))
+        return (all(self.images.startswith(row, i * len(tails) * width) for i, row in enumerate(_rows(heads, tails)))
+                or set(_cut(self.images, width, left_size)).issuperset(_glued(heads, tails)))
 
     @functools.cached_property
     def _rendered(self) -> tuple[FiniteSet, FiniteSet, tuple[tuple[str, str], ...]]:
@@ -118,8 +125,11 @@ class LawWitness(_Value):
         lefts, domain, codomain = _LAW_LABELS[self.law_id](m, n, p)
         # Each right word's label; the pairs take the very strings that right_set holds.
         by_word = dict(zip(_glued(*self._right_halves), _covering_labels(len(domain), codomain), strict=True))
+        width, count = self._width, self.sizes()[0]
         try:
-            pairs = tuple(zip(lefts, map(by_word.__getitem__, self.images), strict=True))
+            if len(self.images) != width * count:  # then some image is not a whole covering
+                raise KeyError
+            pairs = tuple(zip(lefts, map(by_word.__getitem__, _cut(self.images, width, count)), strict=True))
         except KeyError:
             raise ValueError("an image is not a covering of {} labels with {} labels".format(*self.right)) from None
         return FiniteSet(tuple(map(operator.itemgetter(0), pairs))), FiniteSet(tuple(by_word.values())), pairs
@@ -239,6 +249,26 @@ def _glued(heads: list, tails: list) -> Iterator:
     return itertools.starmap(operator.add, itertools.product(heads, tails))
 
 
+def _rows(heads: Iterable[bytes], tails: list[bytes]) -> Iterator[bytes]:
+    # _glued's words a row per head, each row one bytes: ``head + head.join(tails)`` is its words end to end.
+    return (head + head.join(tails) for head in heads) if tails else iter(())
+
+
+def _buffer(rows: Iterable[bytes]) -> bytes:
+    # The rows end to end, written one at a time: ``b"".join`` would hold every row beside the result.
+    out = io.BytesIO()
+    out.writelines(rows)
+    return out.getvalue()
+
+
+def _cut(buffer: bytes, width: int, count: int) -> Iterator[bytes]:
+    # The ``count`` words of ``width`` bytes that ``buffer`` holds end to end, cut in C by one struct of
+    # up to 256 of them (a divisor of ``count``); zero-width words are all empty.
+    if not width:
+        return itertools.repeat(b"", count)
+    return itertools.chain.from_iterable(struct.iter_unpack("%ds" % width * math.gcd(count, 256), buffer))
+
+
 def _halves(length: int, alphabet: Iterable, head: Callable, tail: Callable) -> tuple[list, list]:
     # ``head`` of every tuple of ``alphabet`` over the first ``length - length // 2`` positions, and
     # ``tail`` of every tuple over the rest, each in itertools.product's order. Words and labels are
@@ -247,9 +277,13 @@ def _halves(length: int, alphabet: Iterable, head: Callable, tail: Callable) -> 
     return list(map(head, itertools.product(alphabet, repeat=k))), list(map(tail, itertools.product(alphabet, repeat=length - k)))
 
 
-def _word_halves(length: int, size: int) -> tuple[list[bytes], list[bytes]]:
+def _byte_width(size: int) -> int:
     # A word is codomain positions as bytes: one byte each up to 256 labels, else two or four.
-    width = 1 if size <= 256 else 2 if size <= 1 << 16 else 4
+    return 1 if size <= 256 else 2 if size <= 1 << 16 else 4
+
+
+def _word_halves(length: int, size: int) -> tuple[list[bytes], list[bytes]]:
+    width = _byte_width(size)
     encode = bytes if width == 1 else lambda word: b"".join(k.to_bytes(width, "little") for k in word)
     return _halves(length, range(size), encode, encode)
 
@@ -270,31 +304,32 @@ def _covering_labels(length: int, codomain: FiniteSet) -> tuple[str, ...]:
     return tuple(_glued(*_label_halves(length, codomain)))
 
 
-def _add_exp_witness(a: int, b: int, c: int) -> tuple[tuple, tuple[bytes, ...], tuple[int, int]]:
-    # Pairs of coverings (N -> M, P -> M)  <->  coverings of N (+) P with M.
+def _add_exp_witness(a: int, b: int, c: int) -> tuple[tuple, bytes, tuple[int, int]]:
+    # Pairs of coverings (N -> M, P -> M)  <->  coverings of N (+) P with M: f's row is f glued to every g.
     fs, gs = _covering_words(b, a), _covering_words(c, a)
-    return (fs, gs), tuple(_glued(fs, gs)), (b + c, a)
+    return (fs, gs), _buffer(_rows(fs, gs)), (b + c, a)
 
 
-def _mul_exp_witness(a: int, b: int, c: int) -> tuple[tuple, tuple[bytes, ...], tuple[int, int]]:
+def _mul_exp_witness(a: int, b: int, c: int) -> tuple[tuple, bytes, tuple[int, int]]:
     # Pairs of coverings (P -> M, P -> N)  <->  coverings of P with M x N. The one-position word of
-    # each (x, y) is read off the enumerated product. For each head and tail of f, the row of cells
-    # with every head of g is glued to the row with every tail of g, which is g's order.
+    # each (x, y) is read off the enumerated product. For each head and tail of f, the cells with
+    # each head of g are glued to the row of cells with every tail of g, which is g's order.
     cell = dict(zip(itertools.product(range(a), range(b)), _covering_words(1, a * b)))
 
-    def rows(length: int) -> list[list[bytes]]:
+    def cells(length: int) -> list[list[bytes]]:
         ys = list(itertools.product(range(b), repeat=length))
         return [[b"".join(map(cell.__getitem__, zip(x, y))) for y in ys] for x in itertools.product(range(a), repeat=length)]
 
     k = c - c // 2
-    images = itertools.chain.from_iterable(itertools.starmap(_glued, itertools.product(rows(k), rows(c - k))))
-    return (_covering_words(c, a), _covering_words(c, b)), tuple(images), (c, len(cell))
+    rows = itertools.starmap(_rows, itertools.product(cells(k), cells(c - k)))
+    return (_covering_words(c, a), _covering_words(c, b)), _buffer(itertools.chain.from_iterable(rows)), (c, len(cell))
 
 
-def _curry_witness(a: int, b: int, c: int) -> tuple[tuple, tuple[bytes, ...], tuple[int, int]]:
-    # Coverings of P with the covering-set (N | M)  <->  coverings of P x N with M.
+def _curry_witness(a: int, b: int, c: int) -> tuple[tuple, bytes, tuple[int, int]]:
+    # Coverings of P with the covering-set (N | M)  <->  coverings of P x N with M, a row per c - 1 inner words.
     inner = _covering_words(b, a)
-    return (inner,) * c, tuple(map(b"".join, itertools.product(inner, repeat=c))), (c * b, a)
+    images = _buffer(_rows(map(b"".join, itertools.product(inner, repeat=c - 1)), inner)) if c else b""
+    return (inner,) * c, images, (c * b, a)
 
 
 def _add_exp_labels(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[Iterable[str], FiniteSet, FiniteSet]:
@@ -313,18 +348,12 @@ def _curry_labels(m: FiniteSet, n: FiniteSet, p: FiniteSet) -> tuple[Iterable[st
     return _covering_labels(len(p), FiniteSet(_covering_labels(len(n), m))), product(p, n), m
 
 
-_LAW_BUILDERS = {
-    "ADD_EXP": _add_exp_witness,
-    "MUL_EXP": _mul_exp_witness,
-    "CURRY": _curry_witness,
-}
+_LAW_BUILDERS = {"ADD_EXP": _add_exp_witness, "MUL_EXP": _mul_exp_witness, "CURRY": _curry_witness}
 _LAW_LABELS = {"ADD_EXP": _add_exp_labels, "MUL_EXP": _mul_exp_labels, "CURRY": _curry_labels}
 LAW_IDS = tuple(_LAW_BUILDERS)
 
 
-def verify_exponent_law(
-    law_id: str, a: int, b: int, c: int, budget: int = DEFAULT_BUDGET
-) -> LawWitness:
+def verify_exponent_law(law_id: str, a: int, b: int, c: int, budget: int = DEFAULT_BUDGET) -> LawWitness:
     """Verify one exponent law on witness sets of sizes a, b, c.
 
     Laws, with ``|M| = a``, ``|N| = b``, ``|P| = c``:
@@ -342,8 +371,6 @@ def verify_exponent_law(
     check_law_budget(law_id, a, b, c, budget)
     witness = LawWitness(law_id, a, b, c, *_LAW_BUILDERS[law_id](a, b, c))
     if not witness.is_bijection():
-        # A bijection's images are exactly the right words, so only a failed check looks for a stray one.
-        if not set(_glued(*witness._right_halves)).issuperset(witness.images):
-            raise ValueError("an image is not a covering of {} labels with {} labels".format(*witness.right))
+        witness.pairs  # only a failed check looks for a stray image: rendering raises ValueError on one
         raise AssertionError(f"constructed {law_id} witness is not a bijection")
     return witness

@@ -23,7 +23,7 @@ from continuum.binary_streams import (
     parse_stream,
     value,
 )
-from continuum.dyadic import Dyadic, classify
+from continuum.dyadic import Dyadic, classify, ensure_unit_interval
 from continuum.errors import OutOfRange, ParseError
 from oracles import assert_born_canonical
 
@@ -422,6 +422,42 @@ def test_a_huge_rational_out_of_range_is_refused_without_writing_it_in_decimal()
     with pytest.raises(OutOfRange, match=r"^a 2000001-bit numerator over a 2-bit denominator "):
         expansions_of(q)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "q", [2, -1, Fraction(5, 3), Fraction(-1, 2), Fraction(10**5000 + 1, 3), Fraction(-(10**30), 7), 0.5, "1/2", None]
+)
+def test_expansions_and_period_bound_refuse_as_ensure_unit_interval_does(q):
+    # All three read the ratio through one range check: the same error type and text, huge parts by bit length.
+    with pytest.raises((TypeError, OutOfRange)) as expected:
+        ensure_unit_interval(q)
+    for refuse in (expansions_of, binary_streams.period_bound):
+        with pytest.raises(type(expected.value)) as refused:
+            refuse(q)
+        assert str(refused.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("q", [0, 1, True, Fraction(3, 8), Fraction(1, 12)])
+def test_expansions_and_period_bound_read_ints_and_fractions_alike(q):
+    assert expansions_of(q) == expansions_of(Fraction(q))
+    assert binary_streams.period_bound(q) == binary_streams.period_bound(Fraction(q))
+
+
+def test_expansions_and_period_bound_read_the_ratio_once():
+    reads = []
+
+    class Counted(Fraction):
+        numerator = property(lambda self: reads.append("numerator") or Fraction.numerator.fget(self))
+        denominator = property(lambda self: reads.append("denominator") or Fraction.denominator.fget(self))
+
+        def as_integer_ratio(self):
+            reads.append("as_integer_ratio")
+            return super().as_integer_ratio()
+
+    for read in (expansions_of, binary_streams.period_bound):
+        reads.clear()
+        read(Counted(3, 40))
+        assert reads == ["as_integer_ratio"], read
 
 
 def test_expansions_refuse_a_float():

@@ -172,6 +172,23 @@ def test_laws_add_exp_2_9_9_stays_under_20_mib():
     assert peak < 20 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("law, sizes, ceiling", [("ADD_EXP", (2, 9, 9), 7.2), ("MUL_EXP", (4, 4, 4), 6.8)])
+def test_laws_witness_buffers_stay_under_their_tracemalloc_ceilings(law, sizes, ceiling):
+    # The images are one buffer written a row at a time: holding every row beside it, as b"".join of
+    # the rows would (ADD_EXP 9.3 MiB), or one bytes object per image (15.0 MiB) passes the ceiling.
+    import tracemalloc
+
+    argv = ["laws", "--check", law, *(f"--{name}={size}" for name, size in zip("abc", sizes))]
+    tracemalloc.start()
+    try:
+        result = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.output.endswith("bijection=valid"), result
+    assert peak < ceiling * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MiB"
+
+
 def test_laws_past_one_byte_per_position():
     # 512 coverings of P with the 512 coverings of N with M.
     result = run(["laws", "--check", "CURRY", "--a", "2", "--b", "9", "--c", "1"])

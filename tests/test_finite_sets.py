@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from continuum import bijection, finite_sets
+from continuum.cli import run
 from continuum.errors import BudgetExceeded, DisjointnessViolation
 from continuum.finite_sets import (
     FiniteSet,
@@ -26,8 +27,15 @@ labels = st.lists(st.sampled_from("abcdexyz01"), max_size=8, unique=True)
 
 
 def with_images(witness: LawWitness, images: tuple[bytes, ...]) -> LawWitness:
-    """The witness rebuilt with other image words, as its constructor takes them."""
-    return LawWitness(witness.law_id, witness.a, witness.b, witness.c, witness.left, images, witness.right)
+    """The witness rebuilt with other image words, joined into the one buffer its constructor takes."""
+    return LawWitness(witness.law_id, witness.a, witness.b, witness.c, witness.left, b"".join(images), witness.right)
+
+
+def words(witness: LawWitness) -> tuple[bytes, ...]:
+    """The witness's image words, its buffer cut at the width of a right word (at least one byte)."""
+    positions, size = witness.right
+    width = positions * (1 if size <= 256 else 2 if size <= 1 << 16 else 4)
+    return tuple(witness.images[i : i + width] for i in range(0, len(witness.images), width))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +385,7 @@ def test_a_cardinal_past_20_digits_is_named_by_its_bit_length(refuse):
 
 def test_law_witness_detects_bad_pairs():
     witness = verify_exponent_law("ADD_EXP", 2, 1, 1)
-    broken = with_images(witness, witness.images[:-1] + witness.images[:1])
+    broken = with_images(witness, words(witness)[:-1] + words(witness)[:1])
     assert not broken.is_bijection()
     # Rendered, the last left label now takes the first one's image.
     assert broken.pairs == witness.pairs[:-1] + ((witness.pairs[-1][0], witness.pairs[0][1]),)
@@ -441,19 +449,20 @@ def test_pair_right_labels_are_the_right_set_strings(law_id, a, b, c):
 def test_witness_refuses_images_that_are_not_coverings(monkeypatch):
     # ADD_EXP 3,1,1: its right side is the coverings of 2 labels with 3 labels.
     witness = verify_exponent_law("ADD_EXP", 3, 1, 1)
-    assert witness.images[1] == bytes([0, 1])
+    assert words(witness)[1] == bytes([0, 1])
     assert witness.pairs[1] == ("([M.e0],[M.e1])", "[M.e0,M.e1]")
     # A position past the codomain, and a word of the wrong length: a word is
-    # looked up whole among the right words, never read position by position.
+    # looked up whole among the right words, never read position by position,
+    # and a buffer one byte short holds no whole last image.
     for image in (bytes([0, 3]), bytes([2])):
-        stray = with_images(witness, (image,) + witness.images[1:])
+        stray = with_images(witness, (image,) + words(witness)[1:])
         assert not stray.is_bijection()
         with pytest.raises(ValueError, match="not a covering of 2 labels with 3 labels") as refused:
             stray.pairs
         assert not isinstance(refused.value, KeyError)
 
     def foreign(a, b, c):
-        return ((b"f",),), (bytes([a]) * (b + c),), (b + c, a)
+        return ((b"f",),), bytes([a]) * (b + c), (b + c, a)
 
     monkeypatch.setitem(finite_sets._LAW_BUILDERS, "ADD_EXP", foreign)
     with pytest.raises(ValueError, match="not a covering"):
@@ -529,11 +538,13 @@ def test_verify_rejects_a_builder_that_breaks_the_bijection(monkeypatch):
         # Exchanging the images of two left elements is still a bijection,
         # only not the natural one; the oracle comparison catches that.
         left, images, right = original(a, b, c)
-        return left, images[1::-1] + images[2:], right
+        width = b + c  # one byte per position of N (+) P
+        return left, images[width : 2 * width] + images[:width] + images[2 * width :], right
 
     def collided(a, b, c):
         left, images, right = original(a, b, c)
-        return left, images[:1] * 2 + images[2:], right
+        width = b + c
+        return left, images[:width] * 2 + images[2 * width :], right
 
     monkeypatch.setitem(finite_sets._LAW_BUILDERS, "ADD_EXP", exchanged)
     witness = verify_exponent_law("ADD_EXP", 2, 2, 3)
@@ -546,7 +557,7 @@ def test_verify_rejects_a_builder_that_breaks_the_bijection(monkeypatch):
 def test_law_witness_verdict_is_per_instance():
     witness = verify_exponent_law("MUL_EXP", 2, 2, 2)
     assert witness.is_bijection()
-    broken = witness.images[:-1] + witness.images[:1]
+    broken = words(witness)[:-1] + words(witness)[:1]
     assert not with_images(witness, broken).is_bijection()
     assert witness.is_bijection()
 
@@ -571,7 +582,7 @@ def _word_form(left, right, pairs):
     # of one label with len(right), and an image is its right label's position.
     named = [label for label, _ in pairs]
     table = tuple(label.encode() for label in named + [label for label in left if label not in named])
-    images = tuple(bytes([right.index(label)]) for _, label in pairs)
+    images = bytes(right.index(label) for _, label in pairs)
     return LawWitness("ADD_EXP", 0, 0, 0, (table,), images, (1, len(right)))
 
 
@@ -589,30 +600,30 @@ def test_word_form_of_a_bijection_is_one(left, right, pairs):
 
 def test_law_witness_left_side_is_the_product_of_its_tables():
     # Two tables of two words: four left elements, each with one image.
-    tables, words = ((b"a", b"b"), (b"x", b"y")), finite_sets._covering_words(2, 2)
-    assert LawWitness("ADD_EXP", 0, 0, 0, tables, words, (2, 2)).is_bijection()
-    assert LawWitness("ADD_EXP", 0, 0, 0, tables, words, (2, 2)).sizes() == (4, 4)
-    assert not LawWitness("ADD_EXP", 0, 0, 0, tables[:1], words, (2, 2)).is_bijection()
+    tables, images = ((b"a", b"b"), (b"x", b"y")), b"".join(finite_sets._covering_words(2, 2))
+    assert LawWitness("ADD_EXP", 0, 0, 0, tables, images, (2, 2)).is_bijection()
+    assert LawWitness("ADD_EXP", 0, 0, 0, tables, images, (2, 2)).sizes() == (4, 4)
+    assert not LawWitness("ADD_EXP", 0, 0, 0, tables[:1], images, (2, 2)).is_bijection()
     # A word repeats in the second table: (a,x) and (a,x) again, though the images differ.
-    assert not LawWitness("ADD_EXP", 0, 0, 0, (tables[0], (b"x", b"x")), words, (2, 2)).is_bijection()
+    assert not LawWitness("ADD_EXP", 0, 0, 0, (tables[0], (b"x", b"x")), images, (2, 2)).is_bijection()
     # Six left elements with six distinct images: all four right words, and two that are none.
-    six, strays = (tables[0] + (b"c",), tables[1]), (bytes([2, 0]), bytes([0, 2]))
-    assert not LawWitness("ADD_EXP", 0, 0, 0, six, words + strays, (2, 2)).is_bijection()
+    six, strays = (tables[0] + (b"c",), tables[1]), bytes([2, 0, 0, 2])
+    assert not LawWitness("ADD_EXP", 0, 0, 0, six, images + strays, (2, 2)).is_bijection()
 
 
 @pytest.mark.parametrize("law_id", ["ADD_EXP", "CURRY"])
 def test_in_order_images_reversed_are_still_a_bijection(law_id):
     # Built in the right table's order, they are compared with it; reversed, their set is checked.
     witness = verify_exponent_law(law_id, 2, 2, 2)
-    assert witness.images == finite_sets._covering_words(*witness.right)
-    assert with_images(witness, witness.images[::-1]).is_bijection()
+    assert words(witness) == finite_sets._covering_words(*witness.right)
+    assert with_images(witness, words(witness)[::-1]).is_bijection()
 
 
 def test_mul_exp_images_are_a_permutation_and_two_swapped_are_still_one():
     witness = verify_exponent_law("MUL_EXP", 2, 2, 2)
     right = finite_sets._covering_words(*witness.right)
-    assert witness.images != right and sorted(witness.images) == sorted(right)
-    assert with_images(witness, witness.images[1::-1] + witness.images[2:]).is_bijection()
+    assert words(witness) != right and sorted(words(witness)) == sorted(right)
+    assert with_images(witness, words(witness)[1::-1] + words(witness)[2:]).is_bijection()
 
 
 @pytest.mark.parametrize(
@@ -625,5 +636,99 @@ def test_law_witness_checks_that_the_right_words_are_distinct(monkeypatch, heads
     # in order) nor the four natural images (checked as a set, which for a repeated head or tail holds them all).
     witness = verify_exponent_law("ADD_EXP", 2, 1, 1)
     monkeypatch.setattr(finite_sets, "_word_halves", lambda length, size: (heads, tails))
-    for images in (tuple(finite_sets._glued(heads, tails)), witness.images):
+    for images in (tuple(finite_sets._glued(heads, tails)), words(witness)):
         assert not with_images(witness, images).is_bijection()
+
+
+@pytest.mark.parametrize("law_id", LAW_IDS)
+def test_a_buffer_one_byte_short_or_long_is_not_a_bijection(law_id):
+    # One word per left element: a byte less leaves the last image short, a byte more starts one
+    # more; neither is a bijection, and rendering names an image that is not a covering.
+    witness = verify_exponent_law(law_id, 2, 2, 2)
+    for images in (witness.images[:-1], witness.images + b"\0"):
+        broken = LawWitness(law_id, 2, 2, 2, witness.left, images, witness.right)
+        assert not broken.is_bijection()
+        with pytest.raises(ValueError, match=r"^an image is not a covering of \d+ labels with \d+ labels$"):
+            broken.pairs
+
+
+def test_one_flipped_byte_in_the_last_row_is_caught():
+    # ADD_EXP 2,9,9: 512 rows of 512 words of 18 bytes, compared with the right side a row at a time.
+    witness = verify_exponent_law("ADD_EXP", 2, 9, 9)
+    assert len(witness.images) == 2**18 * 18
+    for position in (len(witness.images) - 1, len(witness.images) - 512 * 18):
+        images = bytearray(witness.images)
+        images[position] ^= 1
+        assert not LawWitness("ADD_EXP", 2, 9, 9, witness.left, bytes(images), witness.right).is_bijection()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            "all --a 0 --b 0 --c 0",
+            "ADD_EXP a=0 b=0 c=0: |left|=1 |right|=1 bijection=valid\n"
+            "MUL_EXP a=0 b=0 c=0: |left|=1 |right|=1 bijection=valid\n"
+            "CURRY a=0 b=0 c=0: |left|=1 |right|=1 bijection=valid",
+        ),
+        ("ADD_EXP --a 1 --b 0 --c 0", "ADD_EXP a=1 b=0 c=0: |left|=1 |right|=1 bijection=valid"),
+        (
+            "all --a 257 --b 1 --c 1",
+            "ADD_EXP a=257 b=1 c=1: |left|=66049 |right|=66049 bijection=valid\n"
+            "MUL_EXP a=257 b=1 c=1: |left|=257 |right|=257 bijection=valid\n"
+            "CURRY a=257 b=1 c=1: |left|=257 |right|=257 bijection=valid",
+        ),
+        (
+            "all --a 300 --b 1 --c 1",
+            "ADD_EXP a=300 b=1 c=1: |left|=90000 |right|=90000 bijection=valid\n"
+            "MUL_EXP a=300 b=1 c=1: |left|=300 |right|=300 bijection=valid\n"
+            "CURRY a=300 b=1 c=1: |left|=300 |right|=300 bijection=valid",
+        ),
+    ],
+    ids=["zero positions", "ADD_EXP 1,0,0", "a=257", "a=300"],
+)
+def test_laws_decide_zero_position_and_two_byte_words(argv, expected):
+    # Zero-position words: the one image is the empty word, so the buffer is empty. Past 256
+    # codomain labels each position takes two bytes.
+    result = run(["laws", "--check", *argv.split()])
+    assert (result.exit_code, result.output) == (0, expected)
+    if argv.startswith("ADD_EXP"):
+        assert verify_exponent_law("ADD_EXP", 1, 0, 0).images == b""
+
+
+def test_add_exp_2_2_1_pairs_are_the_natural_bijection_spelt_out():
+    pairs = verify_exponent_law("ADD_EXP", 2, 2, 1).pairs
+    assert pairs == tuple(
+        (f"([M.e{i},M.e{j}],[M.e{k}])", f"[M.e{i},M.e{j},M.e{k}]") for i in range(2) for j in range(2) for k in range(2)
+    )
+
+
+@pytest.mark.parametrize(
+    "heads, tails", [([b"a", b"bc"], [b"x", b"yz", b""]), ([b""], [b""]), ([b"a"], []), ([], [b"x"])]
+)
+def test_rows_are_the_glued_words_a_row_per_head(heads, tails):
+    # A row per head, of that head glued to every tail; no tails, no rows.
+    rows = list(finite_sets._rows(heads, tails))
+    assert len(rows) == (len(heads) if tails else 0)
+    assert b"".join(rows) == b"".join(finite_sets._glued(heads, tails))
+
+
+def test_in_order_witnesses_are_decided_without_cutting_a_word(monkeypatch):
+    # ADD_EXP and CURRY images are compared with the right rows in place; only MUL_EXP's permuted
+    # images are cut into words, to be checked as a set.
+    def no_cut(*args):
+        raise AssertionError("an image word was cut")
+
+    monkeypatch.setattr(finite_sets, "_cut", no_cut)
+    for law_id in ("ADD_EXP", "CURRY"):
+        assert verify_exponent_law(law_id, 2, 3, 3).is_bijection()
+    with pytest.raises(AssertionError, match="an image word was cut"):
+        verify_exponent_law("MUL_EXP", 2, 3, 3)
+
+
+def test_law_witness_checks_that_every_right_word_is_as_wide_as_an_image(monkeypatch):
+    # Distinct heads of lengths 0 and 1 before distinct one-byte tails: the first right row holds two
+    # one-byte words, so compared in place it would leave two bytes of the image buffer unread.
+    witness = verify_exponent_law("ADD_EXP", 2, 1, 1)
+    monkeypatch.setattr(finite_sets, "_word_halves", lambda length, size: ([b"", b"\1"], [b"\0", b"\1"]))
+    assert not with_images(witness, (b"\0\1", b"\7\7", b"\1\0", b"\1\1")).is_bijection()

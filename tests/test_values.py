@@ -27,8 +27,8 @@ CASES = [
     ),
     (
         LawWitness,
-        dict(zip(WITNESS, ("CURRY", 1, 1, 1, ((b"\x00",),), (b"\x00",), (1, 1)))),
-        "LawWitness(law_id='CURRY', a=1, b=1, c=1, left=((b'\\x00',),), images=(b'\\x00',), right=(1, 1))",
+        dict(zip(WITNESS, ("CURRY", 1, 1, 1, ((b"\x00",),), b"\x00", (1, 1)))),
+        "LawWitness(law_id='CURRY', a=1, b=1, c=1, left=((b'\\x00',),), images=b'\\x00', right=(1, 1))",
     ),
     (
         DerivationStep,

@@ -9,7 +9,9 @@ trees take turns, and the tree that runs first changes from turn to
 turn, so a drift in the machine's speed falls on every tree alike. Each
 tree is compiled first, so that no child compiles it, whatever state its
 bytecode was in. A run fills its columns of the output file and keeps
-the others::
+the others. A column whose least wall time is more than 5% over its least
+CPU time is marked ``"contended": true``: another process held the CPU,
+so compare trees at that μ only where the two times agree::
 
     python3 tools/trace_curve.py --tree parent=/path/to/parent/src --tree change=src
 
@@ -33,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = 3  # fresh processes per μ; the least of their numbers is kept
+CONTENDED = 1.05  # a least wall time past this many times the least CPU time marks its column contended
 
 # |B| is counted by its closed form: a trace passes only when the streams
 # it walked are that many (step 25), and no second walk adds to the peak.
@@ -102,6 +105,10 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"mu={mu}: verdict {found['verdict']}, |B| {found['B']} (recorded {row['B']})", file=sys.stderr)
                     failed = True
             row[label] = {key: min(found[key] for found in found_runs) for key in ("seconds", "cpu_seconds", "peak_rss_mb")}
+            if row[label]["seconds"] > CONTENDED * row[label]["cpu_seconds"]:
+                row[label]["contended"] = True
+                print(f"mu={mu} {label}: wall time {row[label]['seconds']} s is more than 5% over CPU time "
+                      f"{row[label]['cpu_seconds']} s; another process held the CPU, so this column is marked contended")
     doc["curve"] = [rows[mu] for mu in sorted(rows)]
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 1 if failed else 0
