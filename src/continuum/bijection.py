@@ -107,15 +107,6 @@ def inverse(stream: EPBS) -> EPBS:
     return t_enumerate(2 * position + (tail == "0"))
 
 
-JUSTIFICATION_DEFINITION = "Definition"
-JUSTIFICATION_WITNESSED = "WitnessedEquivalence"
-JUSTIFICATION_SYMBOLIC = "Symbolic"
-
-RESULT_PASS = "pass"
-RESULT_FAIL = "fail"
-RESULT_NOT_CHECKABLE = "not-checkable"
-
-
 class DerivationStep(_Value):
     __slots__ = __match_args__ = ("step", "statement", "justification", "bound", "result")
 
@@ -125,7 +116,7 @@ class DerivationTrace(_Value):
 
     @property
     def verdict(self) -> str:
-        return RESULT_FAIL if any(s.result == RESULT_FAIL for s in self.steps) else RESULT_PASS
+        return "fail" if any(s.result == "fail" for s in self.steps) else "pass"
 
     def to_json(self) -> str:
         import json  # only ``trace --format json`` writes JSON, so the CLI starts without it
@@ -257,20 +248,20 @@ def _check_streams(mu_max: int) -> tuple[set[int], dict[str, int], dict[EPBS, EP
 
 # (step, statement, justification, checked up to the bound μ)
 _STEPS = (
-    (20, "card(B) = 2^ℵ₀", JUSTIFICATION_DEFINITION, False),
-    (21, "B = B_X ∪ B_S", JUSTIFICATION_WITNESSED, True),
-    (22, "B_X ~ X ~ ℝ", JUSTIFICATION_SYMBOLIC, False),
-    (23, "B_X = T ∪ B'_X", JUSTIFICATION_DEFINITION, True),
-    (24, "B_X = T_E ∪ T_O ∪ B'_X", JUSTIFICATION_DEFINITION, True),
-    (25, "B_S ∪ B_X = B_S ∪ T ∪ B'_X", JUSTIFICATION_DEFINITION, True),
-    (26, "T_E ~ B_S", JUSTIFICATION_WITNESSED, True),
-    (27, "T_O ~ T", JUSTIFICATION_WITNESSED, True),
-    (28, "B'_X ~ B'_X", JUSTIFICATION_WITNESSED, True),
-    (29, "T_E ∪ T_O ∪ B'_X ~ B_S ∪ T ∪ B'_X", JUSTIFICATION_WITNESSED, True),
-    (30, "B_X ~ B_S ∪ B_X", JUSTIFICATION_WITNESSED, True),
-    (31, "B_X ~ B", JUSTIFICATION_SYMBOLIC, False),
-    (32, "card(B_X) = card(B) = 2^ℵ₀", JUSTIFICATION_WITNESSED, True),
-    (33, "card(X) = card(ℝ) = 2^ℵ₀", JUSTIFICATION_SYMBOLIC, False),
+    (20, "card(B) = 2^ℵ₀", "Definition", False),
+    (21, "B = B_X ∪ B_S", "WitnessedEquivalence", True),
+    (22, "B_X ~ X ~ ℝ", "Symbolic", False),
+    (23, "B_X = T ∪ B'_X", "Definition", True),
+    (24, "B_X = T_E ∪ T_O ∪ B'_X", "Definition", True),
+    (25, "B_S ∪ B_X = B_S ∪ T ∪ B'_X", "Definition", True),
+    (26, "T_E ~ B_S", "WitnessedEquivalence", True),
+    (27, "T_O ~ T", "WitnessedEquivalence", True),
+    (28, "B'_X ~ B'_X", "WitnessedEquivalence", True),
+    (29, "T_E ∪ T_O ∪ B'_X ~ B_S ∪ T ∪ B'_X", "WitnessedEquivalence", True),
+    (30, "B_X ~ B_S ∪ B_X", "WitnessedEquivalence", True),
+    (31, "B_X ~ B", "Symbolic", False),
+    (32, "card(B_X) = card(B) = 2^ℵ₀", "WitnessedEquivalence", True),
+    (33, "card(X) = card(ℝ) = 2^ℵ₀", "Symbolic", False),
 )
 
 
@@ -305,6 +296,6 @@ def derivation_trace(mu_max: int, budget: int = DEFAULT_BUDGET) -> DerivationTra
         failed.add(20)
     steps = []
     for number, statement, justification, bounded in _STEPS:
-        result = RESULT_NOT_CHECKABLE if justification == JUSTIFICATION_SYMBOLIC else RESULT_FAIL if number in failed else RESULT_PASS
+        result = "not-checkable" if justification == "Symbolic" else "fail" if number in failed else "pass"
         steps.append(DerivationStep(number, statement, justification, mu_max if bounded else None, result))
     return DerivationTrace(tuple(steps))

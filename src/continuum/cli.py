@@ -158,42 +158,34 @@ def build_parser() -> _Parser:
     coverings = sub.add_parser("coverings", help="enumerate the covering-set of one set with another")
     coverings.add_argument("--exp", required=True, help="comma-separated exponent-side (domain) labels")
     coverings.add_argument("--base", required=True, help="comma-separated base-side (codomain) labels")
-    coverings.add_argument("--budget", type=_int_at_least(1), default=finite_sets.DEFAULT_BUDGET)
-    coverings.set_defaults(handler=_cmd_coverings)
 
     laws = sub.add_parser("laws", help="verify exponent laws by explicit bijection")
     laws.add_argument("--check", required=True, choices=finite_sets.LAW_IDS + ("all",))
-    laws.add_argument("--a", type=_int_at_least(0), required=True)
-    laws.add_argument("--b", type=_int_at_least(0), required=True)
-    laws.add_argument("--c", type=_int_at_least(0), required=True)
-    laws.add_argument("--budget", type=_int_at_least(1), default=finite_sets.DEFAULT_BUDGET)
-    laws.set_defaults(handler=_cmd_laws)
+    for size in ("--a", "--b", "--c"):
+        laws.add_argument(size, type=_int_at_least(0), required=True)
 
     expand = sub.add_parser("expand", help="binary expansion(s) of a rational in [0,1]")
     expand.add_argument("rational", help='rational literal, e.g. "3/8"')
-    expand.add_argument("--budget", type=_int_at_least(1), default=finite_sets.DEFAULT_BUDGET)
-    expand.set_defaults(handler=_cmd_expand)
 
     classify = sub.add_parser("classify", help="classify a rational point of [0,1]")
     classify.add_argument("rational")
-    classify.set_defaults(handler=_cmd_classify)
 
     stream = sub.add_parser("stream", help="operate on one stream literal")
     stream.add_argument("what", choices=("value", "canon", "member", "dual"))
     stream.add_argument("literal", help='stream literal, e.g. "011(0)" (quote it)')
-    stream.set_defaults(handler=_cmd_stream)
 
     map_cmd = sub.add_parser("map", help="apply the stream bijection or its inverse")
     map_cmd.add_argument("direction", choices=("forward", "inverse"))
     map_cmd.add_argument("literal")
-    map_cmd.set_defaults(handler=_cmd_map)
 
     trace = sub.add_parser("trace", help="replay the derivation with bounded checks")
     trace.add_argument("--mu-max", type=_int_at_least(1), required=True)
     trace.add_argument("--format", choices=("json", "text"), default="text")
-    trace.add_argument("--budget", type=_int_at_least(1), default=finite_sets.DEFAULT_BUDGET)
-    trace.set_defaults(handler=_cmd_trace)
 
+    for command in (coverings, laws, expand, trace):  # each one's last argument, so its help text lists it last
+        command.add_argument("--budget", type=_int_at_least(1), default=finite_sets.DEFAULT_BUDGET)
+    for name, command in sub.choices.items():  # the handler of subcommand <name> is _cmd_<name>
+        command.set_defaults(handler=globals()[f"_cmd_{name}"])
     parser.subcommands = sub.choices  # name -> that subcommand's parser
     _PARSER = parser
     return parser

@@ -12,12 +12,13 @@ of all of them, and exponentiation of cardinals is defined as its size. The thre
 exponent laws are verified by building the natural bijection between both sides element
 by element, on words of codomain positions: the images are one buffer of fixed-width
 words, glued from covering tables a row at a time by concatenation or table lookup, and
-must be the enumerated right side's words, compared with them row by row, or as a set
-when permuted. Labels are rendered only when a witness's ``pairs``, ``left_set`` or
-``right_set`` is read. Each covering's word or label is a head of its first half joined
-to a tail of the rest: a covering-set is its domain and codomain, glued into words or
-lines when read, and :func:`cardinal_pow` refuses on the two sizes before it builds a
-label.
+must be the enumerated right side's words. Those are listed in the bijection's natural
+order, MUL_EXP's regrouped by its interleave, and compared with the images in place row
+by row; images in neither order are hashed as a set. Labels are rendered only when a
+witness's ``pairs``, ``left_set`` or ``right_set`` is read. Each covering's word or label
+is a head of its first half joined to a tail of the rest: a covering-set is its domain
+and codomain, glued into words or lines when read, and :func:`cardinal_pow` refuses on
+the two sizes before it builds a label.
 """
 
 from __future__ import annotations
@@ -88,7 +89,9 @@ class LawWitness(_Value):
     itertools.product's order, and ``images`` is one ``bytes`` of each left element's
     image word in that order, each as wide as a right word. The right side, the coverings of
     ``right[0]`` positions with ``right[1]`` labels, is checked distinct on its head and tail
-    tables; in-order images are compared with it a row of words at a time, permuted ones as a set.
+    tables. Its words are listed in the natural bijection's order, the tables' own or, for MUL_EXP,
+    its heads and tails regrouped by the interleave, and compared with the images in place a row
+    at a time; images in neither order, such as a permuted witness, are hashed as a set.
     ``pairs``, ``left_set`` and ``right_set`` render labels of the witness sets
     of sizes ``a``, ``b``, ``c`` on first read, into ``__dict__``; nothing else builds a label.
     """
@@ -107,16 +110,21 @@ class LawWitness(_Value):
         return math.prod(map(len, self.left)), len(heads) * len(tails)
 
     def is_bijection(self) -> bool:
-        """One image per left element, both sides distinct, and the images are the right words, in order or as a set."""
+        """One image per left element, both sides distinct, and the images are the right words, in natural order or as a set."""
         (heads, tails), (left_size, right_size), width = self._right_halves, self.sizes(), self._width
         # Distinct factor words make distinct left elements; distinct heads of one length, each followed by
         # distinct tails that fill a word, make distinct right words as wide as the images' words.
         if not (len(self.images) == left_size * width and left_size == right_size
-                and all(len(set(table)) == len(table) for table in self.left)
-                and {i + j for i in set(map(len, heads)) for j in set(map(len, tails))} <= {width}
-                and len(set(heads)) == len(heads) and len(set(tails)) == len(tails)):
+                and all(len(set(table)) == len(table) for table in (*self.left, heads, tails))
+                and {i + j for i in set(map(len, heads)) for j in set(map(len, tails))} <= {width}):
             return False
-        return (all(self.images.startswith(row, i * len(tails) * width) for i, row in enumerate(_rows(heads, tails)))
+        groups = [heads], [tails]
+        if self.law_id == "MUL_EXP" and self.right == (self.c, self.a * self.b):  # (f, g) -> h with h_p = (f_p, g_p)
+            groups = _by_first(heads, self.a, self.b, (self.c + 1) // 2), _by_first(tails, self.a, self.b, self.c // 2)
+        # Groups taking each head and each tail once glue every right word once; a row is compared where the last ends.
+        rows, ends = itertools.tee(itertools.chain.from_iterable(itertools.starmap(_rows, itertools.product(*groups))))
+        return (all(sorted(itertools.chain(*parts)) == sorted(table) for parts, table in zip(groups, (heads, tails)))
+                and all(map(self.images.startswith, rows, itertools.accumulate(map(len, ends), initial=0)))
                 or set(_cut(self.images, width, left_size)).issuperset(_glued(heads, tails)))
 
     @functools.cached_property
@@ -252,6 +260,14 @@ def _glued(heads: list, tails: list) -> Iterator:
 def _rows(heads: Iterable[bytes], tails: list[bytes]) -> Iterator[bytes]:
     # _glued's words a row per head, each row one bytes: ``head + head.join(tails)`` is its words end to end.
     return (head + head.join(tails) for head in heads) if tails else iter(())
+
+
+def _by_first(table: list[bytes], a: int, b: int, length: int) -> list[list[bytes]]:
+    # ``table``: the coverings of ``length`` positions with labels x * b + y in product order; a list per x, in y order.
+    groups: dict[tuple[int, ...], list[bytes]] = {}
+    for xs, word in zip(itertools.product([x for x in range(a) for _ in range(b)], repeat=length), table):
+        groups.setdefault(xs, []).append(word)
+    return list(groups.values())
 
 
 def _buffer(rows: Iterable[bytes]) -> bytes:

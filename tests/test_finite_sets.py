@@ -714,16 +714,98 @@ def test_rows_are_the_glued_words_a_row_per_head(heads, tails):
 
 
 def test_in_order_witnesses_are_decided_without_cutting_a_word(monkeypatch):
-    # ADD_EXP and CURRY images are compared with the right rows in place; only MUL_EXP's permuted
-    # images are cut into words, to be checked as a set.
-    def no_cut(*args):
-        raise AssertionError("an image word was cut")
-
-    monkeypatch.setattr(finite_sets, "_cut", no_cut)
-    for law_id in ("ADD_EXP", "CURRY"):
+    # Every law's natural images are compared in place with the right words in their natural order: ADD_EXP's and
+    # CURRY's in the right table's own, MUL_EXP's regrouped by its interleave. Two MUL_EXP images swapped are in
+    # neither order: only they are cut into words, and as a set they still hold every right word.
+    cut = spy_on_cut(monkeypatch)
+    for law_id in LAW_IDS:
         assert verify_exponent_law(law_id, 2, 3, 3).is_bijection()
-    with pytest.raises(AssertionError, match="an image word was cut"):
-        verify_exponent_law("MUL_EXP", 2, 3, 3)
+    assert not cut
+    witness = verify_exponent_law("MUL_EXP", 2, 3, 3)
+    assert with_images(witness, words(witness)[1::-1] + words(witness)[2:]).is_bijection()
+    assert len(cut) == 1
+
+
+def spy_on_cut(monkeypatch) -> list:
+    """The arguments of each later call of ``finite_sets._cut``, which still cuts."""
+    calls, original = [], finite_sets._cut
+    monkeypatch.setattr(finite_sets, "_cut", lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+@pytest.mark.parametrize("position", [0, 63, -64, -1], ids=["first row, first byte", "first row, last byte",
+                                                            "last row, first byte", "last row, last byte"])
+def test_one_flipped_byte_in_the_first_or_last_mul_exp_row_is_caught(position):
+    # MUL_EXP 4,4,4: 256 x 256 pairs, compared in place a row of 16 words of 4 bytes at a time.
+    witness = verify_exponent_law("MUL_EXP", 4, 4, 4)
+    assert len(witness.images) == 4**8 * 4
+    images = bytearray(witness.images)
+    images[position] ^= 1
+    assert not LawWitness("MUL_EXP", 4, 4, 4, witness.left, bytes(images), witness.right).is_bijection()
+
+
+def test_a_regrouping_that_takes_one_head_twice_is_not_taken_for_a_bijection(monkeypatch):
+    # Images glued from MUL_EXP 2,2,3's right heads regrouped with one head taken twice, and so another never,
+    # match those rows in place. The regrouping does not take every head once, so the images are cut and hashed,
+    # and the words of the head never taken are not among them.
+    witness, original = verify_exponent_law("MUL_EXP", 2, 2, 3), finite_sets._by_first
+
+    def twice(table, a, b, length):
+        groups = original(table, a, b, length)
+        if length == 2:  # the heads: two of P's three positions
+            groups[0][1] = groups[0][0]
+        return groups
+
+    heads, tails = witness._right_halves
+    groups = twice(heads, 2, 2, 2), original(tails, 2, 2, 1)
+    images = b"".join(itertools.chain.from_iterable(itertools.starmap(finite_sets._rows, itertools.product(*groups))))
+    assert len(images) == len(witness.images) and images != witness.images
+    monkeypatch.setattr(finite_sets, "_by_first", twice)
+    cut = spy_on_cut(monkeypatch)
+    assert not LawWitness("MUL_EXP", 2, 2, 3, witness.left, images, witness.right).is_bijection()
+    assert len(cut) == 1
+
+
+@pytest.mark.parametrize(
+    "a, b, c, left, images, right, expected",
+    [
+        (3, 2, 2, None, None, None, True),  # MUL_EXP 2,2,2's witness, said to be of a = 3: right is not (c, 3 * 2)
+        (0, 0, 0, ((b"x", b"y", b"z"),), bytes([2, 0, 1]), (1, 3), True),  # one table of three onto three words
+        (0, 0, 0, ((b"x", b"y", b"z"),), bytes([2, 0, 2]), (1, 3), False),
+    ],
+)
+def test_a_hand_made_mul_exp_witness_off_its_right_side_is_checked_as_a_set(monkeypatch, a, b, c, left, images, right,
+                                                                               expected):
+    witness = verify_exponent_law("MUL_EXP", 2, 2, 2)
+    cut = spy_on_cut(monkeypatch)
+    hand_made = LawWitness("MUL_EXP", a, b, c, left or witness.left, images or witness.images, right or witness.right)
+    assert hand_made.right != (hand_made.c, hand_made.a * hand_made.b)
+    assert hand_made.is_bijection() is expected
+    assert len(cut) == 1
+
+
+@pytest.mark.parametrize("law_id", ["ADD_EXP", "CURRY"])
+def test_only_mul_exp_regroups_its_right_side(monkeypatch, law_id):
+    # Images in the right table's own order, on the coverings of c = 2 positions with a * b = 4 labels: labelled
+    # ADD_EXP or CURRY they are compared in place; labelled MUL_EXP they are in neither of its orders, so hashed.
+    mul_exp = verify_exponent_law("MUL_EXP", 2, 2, 2)
+    images = b"".join(finite_sets._covering_words(2, 4))
+    cut = spy_on_cut(monkeypatch)
+    assert LawWitness(law_id, 2, 2, 2, mul_exp.left, images, mul_exp.right).is_bijection() and not cut
+    assert LawWitness("MUL_EXP", 2, 2, 2, mul_exp.left, images, mul_exp.right).is_bijection() and len(cut) == 1
+
+
+@pytest.mark.parametrize(
+    "a, b, c", [(2, 3, 0), (0, 0, 0), (3, 2, 1), (0, 2, 2), (2, 0, 2), (0, 0, 3), (257, 1, 1), (257, 256, 1)]
+)
+def test_mul_exp_edge_witnesses_are_decided_in_place_and_render_as_the_oracle(monkeypatch, a, b, c):
+    # c = 0 (the one empty image), c = 1 (tails of no position), a = 0 or b = 0 (no left element), and
+    # codomains of two and four bytes a position.
+    cut = spy_on_cut(monkeypatch)
+    witness = verify_exponent_law("MUL_EXP", a, b, c)
+    assert witness.is_bijection() and not cut
+    left, right, pairs = _oracle_witness("MUL_EXP", a, b, c)
+    assert (witness.left_set.elements, witness.right_set.elements, witness.pairs) == (left, right, pairs)
 
 
 def test_law_witness_checks_that_every_right_word_is_as_wide_as_an_image(monkeypatch):
